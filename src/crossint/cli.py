@@ -92,7 +92,10 @@ def _emit_csv_rows(header: list[str], rows: list[tuple]) -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

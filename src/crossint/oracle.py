@@ -28,13 +28,12 @@ oracles short-circuit to C(n,k) * C(n,l) there.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
-
-import numpy as np
 
 from .cascade import _advance, _digits, kk_cross_bound
 from .errors import CapacityError
@@ -47,7 +46,7 @@ from .families import (
     elements_of,
     shadow,
 )
-from .regions import in_omega_prime
+from .regions import _check_uniform_params, in_omega_prime
 
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
@@ -74,30 +73,34 @@ class OracleResult:
         return out
 
 
-def _check_uniform_params(n: int, k: int, l: int) -> None:
-    if not (1 <= k <= n - 1 and 1 <= l <= n - 1):
-        raise ValueError(f"need 1 <= k, l <= n-1, got n={n}, k={k}, l={l}")
-
-
 def _sweep_chunk(args: tuple[int, int, int, int, int]) -> tuple[int, list[int]]:
-    """Max of m * kk_cross_bound over m in [m_lo, m_hi), with all argmax m."""
+    """Max of m * kk_cross_bound over m in [m_lo, m_hi), with all argmax m.
+
+    The shadow bound is additive over cascade digits and _advance rewrites
+    only the last digit, so shadow[i], the bound of the first i digits, is
+    kept current with one table lookup per size instead of being re-summed.
+    """
     n, k, l, m_lo, m_hi = args
-    u, v = n - k, l
+    u, drop = n - k, n - k - l
     layer = binom(n, l)
+    # after the last size _advance may emit the digit C(n+1, 1) when u = 1
+    term = [[binom(a, lev - drop) for a in range(n + 2)] for lev in range(u + 1)]
     digits = _digits(m_lo, u)
+    shadow = [0] * (u + 1)
+    for i, (a, lev) in enumerate(digits, 1):
+        shadow[i] = shadow[i - 1] + term[lev][a]
+    depth = len(digits)
     best, wits = -1, []
     for m in range(m_lo, m_hi):
-        if v == u:
-            bound = layer - m
-        else:
-            drop = u - v
-            bound = layer - sum(binom(a, lev - drop) for a, lev in digits)
-        val = m * bound
+        val = m * (layer - shadow[depth])
         if val > best:
             best, wits = val, [m]
         elif val == best:
             wits.append(m)
         _advance(digits)
+        depth = len(digits)
+        a, lev = digits[-1]
+        shadow[depth] = shadow[depth - 1] + term[lev][a]
     return best, wits
 
 
@@ -153,8 +156,9 @@ def max_product_cascade(
 
 
 def _partition(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """Split [lo, hi) into contiguous chunks, at most one per CPU."""
     count = hi - lo
-    workers = max(1, min(workers, count))
+    workers = max(1, min(workers, count, os.cpu_count() or 1))
     if workers == 1 or count < 4096:
         return [(lo, hi)]
     step = count // workers
@@ -206,6 +210,9 @@ def max_product_enumeration(
     nk = binom(n, k)
     if nk > ENUMERATION_CAP:
         raise CapacityError(f"C({n},{k}) = {nk} exceeds enumeration cap {ENUMERATION_CAP}")
+    # imported here, its only use, so the CLI starts without numpy
+    import numpy as np
+
     ksets = list(colex_masks(n, k))
     size = 1 << nk
     cnt = np.zeros(size, dtype=np.int32)

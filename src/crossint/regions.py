@@ -180,14 +180,21 @@ def delta_boundary(
     )
 
 
+def _check_uniform_params(n: int, k: int, l: int) -> None:
+    if not (1 <= k <= n - 1 and 1 <= l <= n - 1):
+        raise ValueError(f"need 1 <= k, l <= n-1, got n={n}, k={k}, l={l}")
+
+
 def condition_c1(n: int, k: int, l: int) -> bool:
     """Exact rational test (1 + (n-k)/(n-1)) (l-1)/(n-1) < 1."""
+    _check_uniform_params(n, k, l)
     value = (1 + Fraction(n - k, n - 1)) * Fraction(l - 1, n - 1)
     return value < 1
 
 
 def condition_c2(n: int, k: int, l: int) -> bool:
     """Exact rational test (n-k) H[n-l, n-2] - (n-l) H[k, n-2] < 0."""
+    _check_uniform_params(n, k, l)
     first = sum(Fraction(1, i) for i in range(n - l, n - 1))
     second = sum(Fraction(1, i) for i in range(k, n - 1))
     return (n - k) * first - (n - l) * second < 0

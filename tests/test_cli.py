@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from crossint.cli import main
 
@@ -143,6 +149,32 @@ def test_measure_command(capsys):
 
     code, out, _ = run(capsys, "measure", "1", "--alpha", "1/2", "--beta", "1/2")
     assert json.loads(out)["result"]["value"] == "1/4"
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "x", "1/2/3"])
+def test_measure_bad_fraction_is_a_usage_error(capsys, alpha):
+    code, out, err = run(capsys, "measure", "4", "--alpha", alpha, "--beta", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "not a fraction" in err
+
+
+@pytest.mark.parametrize("conditions", ["c1", "c2"])
+def test_check_degenerate_nkl_is_a_usage_error(capsys, conditions):
+    code, out, err = run(capsys, "check", "1", "1", "1", "--conditions", conditions)
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= k, l <= n-1" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, crossint.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_measure_capacity_exit(capsys):

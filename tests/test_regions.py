@@ -157,6 +157,13 @@ def test_condition_c1_c2_values():
     assert abs(float(harmonic) + 1.047) < 2e-3
 
 
+@pytest.mark.parametrize("condition", [condition_c1, condition_c2])
+@pytest.mark.parametrize("nkl", [(1, 1, 1), (5, 0, 2), (5, 2, 5), (6, 6, 1)])
+def test_conditions_reject_out_of_range_parameters(condition, nkl):
+    with pytest.raises(ValueError):
+        condition(*nkl)
+
+
 def test_c1_equals_size_comparison():
     # exact equivalence with the j = 0 blocking-pair size test
     for n in range(5, 13):
