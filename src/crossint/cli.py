@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .errors import (
     CrossIntError,
     UndecidableAtTolerance,
 )
+from .exactarith import DEFAULT_TOL
 
 SCHEMA = "crossint-report/1"
 
@@ -38,28 +38,11 @@ EXIT_CAPACITY = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-12
-    j_cap: int = 64
-    i_max: int = 1000
-    sweep_budget: int = 10**8
-    output: str = "json"
-    seed: int = 0
-    threads: int = 1
-
-
-def _resolve_threads(flag: int) -> int:
-    """CROSSINT_THREADS caps the worker count and doubles as the default."""
-    raw = os.environ.get("CROSSINT_THREADS")
-    cap = None
-    if raw is not None:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            cap = None
-    threads = flag if flag > 0 else (cap if cap is not None else 1)
-    if cap is not None:
-        threads = min(threads, cap)
-    return threads
+    tolerance: float
+    j_cap: int
+    i_max: int
+    sweep_budget: int
+    output: str
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -69,8 +52,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         i_max=args.i_max,
         sweep_budget=args.sweep_budget,
         output=args.output,
-        seed=args.seed,
-        threads=_resolve_threads(args.threads),
     )
 
 
@@ -100,20 +81,20 @@ def _parse_fraction(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tolerance", type=float, default=1e-12)
-    shared.add_argument("--j-cap", dest="j_cap", type=int, default=64)
-    shared.add_argument("--i-max", dest="i_max", type=int, default=1000)
+    shared.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     shared.add_argument(
-        "--sweep-budget", dest="sweep_budget", type=int, default=10**8
+        "--j-cap", dest="j_cap", type=int, default=regions.DEFAULT_J_CAP
+    )
+    shared.add_argument(
+        "--i-max", dest="i_max", type=int, default=regions.DEFAULT_I_MAX
+    )
+    shared.add_argument(
+        "--sweep-budget",
+        dest="sweep_budget",
+        type=int,
+        default=oracle.DEFAULT_SWEEP_BUDGET,
     )
     shared.add_argument("--output", choices=("json", "csv"), default="json")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker cap (0 = use CROSSINT_THREADS, default 1)",
-    )
     shared.add_argument(
         "--timing", action="store_true", help="include real elapsed_ms in reports"
     )
@@ -162,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--j-max", type=int, default=64)
 
-    p = sub.add_parser("family", parents=[shared], help="family import/export")
+    # the shared options belong to the leaves only, so none is silently dropped
+    p = sub.add_parser("family", help="family import/export")
     fam_sub = p.add_subparsers(dest="family_command", required=True)
     mk = fam_sub.add_parser("make", parents=[shared])
     mk.add_argument("kind", choices=("star", "afam", "bfam", "colex"))
@@ -187,7 +169,6 @@ def _cmd_mnkl(args: argparse.Namespace, config: RunConfig) -> int:
             args.k,
             args.l,
             sweep_budget=config.sweep_budget,
-            workers=config.threads,
             timing=args.timing,
         ).to_dict()
     if args.method in ("enum", "both"):
@@ -254,6 +235,10 @@ def _point_conditions(
 
 def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
+    if not wanted:
+        raise ValueError(
+            "no condition given; choose from c1,c2,delta,delta-prime,claims"
+        )
     integer_mode = bool(args.nkl)
     body: dict = {"conditions": {}}
     if integer_mode:

@@ -25,11 +25,19 @@ from .errors import CapacityError, NonBinomialSizeError
 from .exactarith import binom
 
 MAX_GROUND_SET = 64
+#: Most members a constructor materializes; sizes are known from binomials
+#: before any member is built, so an oversized request fails at once.
+MAX_MEMBERS = 10**6
 
 
 def _check_ground(n: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size must be in [1, {MAX_GROUND_SET}], got {n}")
+
+
+def _check_members(count: int) -> None:
+    if count > MAX_MEMBERS:
+        raise CapacityError(f"{count} sets exceed the family cap {MAX_MEMBERS}")
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -126,6 +134,7 @@ def colex_segment(m: int, u: int, n: int) -> UniformFamily:
         raise ValueError(f"need 0 <= u <= n, got u={u}")
     if m > binom(n, u):
         raise CapacityError(f"requested {m} sets but C({n},{u}) = {binom(n, u)}")
+    _check_members(m)
     out = []
     for mask in colex_masks(n, u):
         if len(out) == m:
@@ -184,6 +193,7 @@ def star_uniform(n: int, k: int, center: int) -> UniformFamily:
         raise ValueError(f"center {center} outside [1, {n}]")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
+    _check_members(binom(n - 1, k - 1))
     bit = 1 << (center - 1)
     others = [e for e in range(1, n + 1) if e != center]
     members = [
@@ -204,6 +214,8 @@ def a_family_uniform(n: int, k: int, j: int) -> UniformFamily:
         raise ValueError(f"need 0 <= j <= n-2, got j={j}, n={n}")
     if k < j + 1:
         raise ValueError(f"need k >= j+1, got k={k}, j={j}")
+    _check_ground(n)
+    _check_members(binom(n - 1, k - 1) + binom(n - j - 2, k - j - 1))
     prefix, block = _prefix_block(n, j)
     star = star_uniform(n, k, 1)
     extra = [

@@ -28,9 +28,7 @@ oracles short-circuit to C(n,k) * C(n,l) there.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
@@ -73,25 +71,24 @@ class OracleResult:
         return out
 
 
-def _sweep_chunk(args: tuple[int, int, int, int, int]) -> tuple[int, list[int]]:
-    """Max of m * kk_cross_bound over m in [m_lo, m_hi), with all argmax m.
+def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
+    """Max of m * kk_cross_bound over m = 1..C(n,k), with every argmax m.
 
     The shadow bound is additive over cascade digits and _advance rewrites
     only the last digit, so shadow[i], the bound of the first i digits, is
     kept current with one table lookup per size instead of being re-summed.
     """
-    n, k, l, m_lo, m_hi = args
     u, drop = n - k, n - k - l
     layer = binom(n, l)
     # after the last size _advance may emit the digit C(n+1, 1) when u = 1
     term = [[binom(a, lev - drop) for a in range(n + 2)] for lev in range(u + 1)]
-    digits = _digits(m_lo, u)
+    digits = _digits(1, u)
     shadow = [0] * (u + 1)
     for i, (a, lev) in enumerate(digits, 1):
         shadow[i] = shadow[i - 1] + term[lev][a]
     depth = len(digits)
     best, wits = -1, []
-    for m in range(m_lo, m_hi):
+    for m in range(1, binom(n, k) + 1):
         val = m * (layer - shadow[depth])
         if val > best:
             best, wits = val, [m]
@@ -110,7 +107,6 @@ def max_product_cascade(
     l: int,
     *,
     sweep_budget: int = DEFAULT_SWEEP_BUDGET,
-    workers: int = 1,
     timing: bool = False,
 ) -> OracleResult:
     """M(n, k, l) by sweeping every first-family size against the shadow bound."""
@@ -131,16 +127,7 @@ def max_product_cascade(
             raise CapacityError(
                 f"sweep over {total} sizes exceeds budget {sweep_budget}"
             )
-        chunks = _partition(1, total + 1, workers)
-        if len(chunks) == 1:
-            parts = [_sweep_chunk((n, k, l, *chunks[0]))]
-        else:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(
-                    pool.map(_sweep_chunk, [(n, k, l, lo, hi) for lo, hi in chunks])
-                )
-        best = max(p[0] for p in parts)
-        wits = sorted(m for p in parts if p[0] == best for m in p[1])
+        best, wits = _sweep(n, k, l)
         result = OracleResult(
             best,
             [
@@ -153,17 +140,6 @@ def max_product_cascade(
     if timing:
         result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return result
-
-
-def _partition(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) into contiguous chunks, at most one per CPU."""
-    count = hi - lo
-    workers = max(1, min(workers, count, os.cpu_count() or 1))
-    if workers == 1 or count < 4096:
-        return [(lo, hi)]
-    step = count // workers
-    cuts = [lo + step * i for i in range(workers)] + [hi]
-    return [(cuts[i], cuts[i + 1]) for i in range(workers)]
 
 
 def achieving_pair(n: int, k: int, l: int, m: int) -> tuple[UniformFamily, UniformFamily]:

@@ -8,7 +8,6 @@ size from that size's own cascade form, independently of the incremental
 bound kept by the production sweep.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -102,26 +101,21 @@ def brute_measure_product(n, alpha, beta):
     return best
 
 
-@functools.lru_cache(maxsize=1)
-def _reference_products(n, k, l):
-    """m * (C(n,l) - shadow bound of m) for m = 1..C(n,k), each m decomposed afresh."""
+def reference_sweep(n, k, l):
+    """Max of m * (C(n,l) - shadow bound of m) over m = 1..C(n,k), with all argmax m.
+
+    Nothing carries over from one m to the next: each m is decomposed afresh.
+    """
     from crossint.cascade import cascade_decompose
 
     u, drop = n - k, n - k - l
-    products = [0]
+    best, wits = -1, []
     for m in range(1, math.comb(n, k) + 1):
         pairs = cascade_decompose(m, u).pairs
         shadow = sum(math.comb(a, lev - drop) for a, lev in pairs if lev >= drop)
-        products.append(m * (math.comb(n, l) - shadow))
-    return products
-
-
-def reference_sweep(n, k, l, m_lo, m_hi):
-    """Max of m * (C(n,l) - shadow bound of m) over [m_lo, m_hi), with all argmax m.
-
-    Nothing carries over from one m to the next.  The products of one
-    (n, k, l) are cached, so checking several sub-ranges costs one pass.
-    """
-    products = _reference_products(n, k, l)
-    best = max(products[m_lo:m_hi])
-    return best, [m for m in range(m_lo, m_hi) if products[m] == best]
+        val = m * (math.comb(n, l) - shadow)
+        if val > best:
+            best, wits = val, [m]
+        elif val == best:
+            wits.append(m)
+    return best, wits

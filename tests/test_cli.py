@@ -126,6 +126,14 @@ def test_check_mixed_mode_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("conditions", ["", ",", " , "])
+def test_check_without_conditions_is_a_usage_error(capsys, conditions):
+    for mode in (["--alpha", "0.25", "--beta", "0.55"], ["20", "5", "11"]):
+        code, out, err = run(capsys, "check", *mode, "--conditions", conditions)
+        assert (code, out) == (2, "")
+        assert "no condition" in err
+
+
 def test_check_csv_output(capsys):
     code, out, _ = run(
         capsys, "check", "20", "5", "11", "--conditions", "c1,c2",
@@ -170,11 +178,15 @@ def test_check_degenerate_nkl_is_a_usage_error(capsys, conditions):
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, crossint.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, crossint.cli; "
+        "print([m for m in ('numpy', 'multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_measure_capacity_exit(capsys):
@@ -241,6 +253,31 @@ def test_family_roundtrip(tmp_path, capsys):
     assert json.loads(out)["cross_intersecting"]
 
 
+def test_family_options_belong_to_the_leaf_commands(capsys):
+    star = ["star", "--n", "4", "--k", "2"]
+    for opts in (["--timing"], ["--j-cap", "5"]):
+        code, out, _ = run(capsys, "family", *opts, "make", *star)
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "family", "make", *opts, *star)
+        assert code == 0
+        assert out.splitlines()[0] == "4 2"
+
+
+@pytest.mark.parametrize(
+    "kind_args",
+    [
+        ["star", "--n", "26", "--k", "13"],
+        ["afam", "--n", "64", "--k", "32", "--j", "1"],
+        ["bfam", "--n", "64", "--k", "32", "--j", "1"],
+        ["colex", "--n", "64", "--k", "32", "--size", str(10**6 + 1)],
+    ],
+)
+def test_family_make_capacity_exit(capsys, kind_args):
+    code, out, err = run(capsys, "family", "make", *kind_args)
+    assert (code, out) == (3, "")
+    assert "family cap" in err
+
+
 def test_family_cross_failure_exit(tmp_path, capsys):
     one = tmp_path / "one.txt"
     two = tmp_path / "two.txt"
@@ -252,16 +289,19 @@ def test_family_cross_failure_exit(tmp_path, capsys):
 
 
 def test_threads_env(monkeypatch, capsys):
+    # the sweep runs in one process: no worker option, variable or config key
+    for flag in ("--threads", "--seed"):
+        code, out, _ = run(capsys, "mnkl", "6", "2", "3", flag, "2")
+        assert (code, out) == (2, "")
+    monkeypatch.delenv("CROSSINT_THREADS", raising=False)
+    code, plain, _ = run(capsys, "mnkl", "6", "2", "3")
+    assert code == 0
+    assert sorted(json.loads(plain)["config"]) == [
+        "i_max", "j_cap", "output", "sweep_budget", "tolerance"
+    ]
     monkeypatch.setenv("CROSSINT_THREADS", "2")
     code, out, _ = run(capsys, "mnkl", "6", "2", "3")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 2
-    # the environment variable caps an explicit request
-    code, out, _ = run(capsys, "mnkl", "6", "2", "3", "--threads", "8")
-    assert json.loads(out)["config"]["threads"] == 2
-    monkeypatch.delenv("CROSSINT_THREADS")
-    code, out, _ = run(capsys, "mnkl", "6", "2", "3", "--threads", "3")
-    assert json.loads(out)["config"]["threads"] == 3
+    assert (code, out) == (0, plain)
 
 
 def test_undecidable_point_exits_with_capacity_code(capsys):

@@ -82,6 +82,26 @@ def test_star_sizes():
     assert sorted(star_uniform(4, 2, 3).sets()) == [(1, 3), (2, 3), (3, 4)]
 
 
+def test_constructors_cap_members_before_building(monkeypatch):
+    import crossint.families as families
+
+    monkeypatch.setattr(families, "MAX_MEMBERS", 10)
+    # within the cap; b_family_uniform is capped by the star it filters
+    assert len(star_uniform(6, 3, 1)) == 10
+    assert len(a_family_uniform(5, 3, 0)) == 6 + 3
+    assert len(b_family_uniform(6, 3, 0)) == 10 - 6
+    assert len(colex_segment(10, 3, 7)) == 10
+    # one past it: the star alone fits in a_family_uniform(6, 3, 0), not all 16
+    for build in (
+        lambda: star_uniform(7, 3, 1),
+        lambda: a_family_uniform(6, 3, 0),
+        lambda: b_family_uniform(7, 3, 0),
+        lambda: colex_segment(11, 3, 7),
+    ):
+        with pytest.raises(CapacityError, match="family cap 10"):
+            build()
+
+
 def test_is_shadow_tight():
     inside = UniformFamily(7, 3, full_layer(5, 3).members)
     assert is_shadow_tight(inside, 2)
