@@ -6,17 +6,18 @@ diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 1 a requested condition fails or methods disagree, 2 usage error,
 3 capacity or undecidability.
 
-Reports embed the run configuration and a schema tag so outputs are
-reproducible byte for byte; elapsed_ms is 0.0 unless --timing is given,
-keeping default output deterministic.
+Each command takes only the options it reads.  Reports are JSON with a
+schema tag, except the CSV figure tables of `region`; elapsed_ms is 0.0
+unless --timing is given, keeping default output byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+import time
 from fractions import Fraction
 
 from . import families, oracle, regions
@@ -26,9 +27,8 @@ from .errors import (
     CrossIntError,
     UndecidableAtTolerance,
 )
-from .exactarith import DEFAULT_TOL
 
-SCHEMA = "crossint-report/1"
+SCHEMA = "crossint-report/2"
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILED = 1
@@ -36,31 +36,13 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float
-    j_cap: int
-    i_max: int
-    sweep_budget: int
-    output: str
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tolerance=args.tolerance,
-        j_cap=args.j_cap,
-        i_max=args.i_max,
-        sweep_budget=args.sweep_budget,
-        output=args.output,
-    )
-
-
-def _report(config: RunConfig, command: str, body: dict) -> dict:
-    return {"schema": SCHEMA, "command": command, "config": asdict(config), **body}
+def _report(command: str, body: dict) -> dict:
+    return {"schema": SCHEMA, "command": command, **body}
 
 
 def _emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv_rows(header: list[str], rows: list[tuple]) -> None:
@@ -79,39 +61,43 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    shared.add_argument(
-        "--j-cap", dest="j_cap", type=int, default=regions.DEFAULT_J_CAP
-    )
-    shared.add_argument(
-        "--i-max", dest="i_max", type=int, default=regions.DEFAULT_I_MAX
-    )
-    shared.add_argument(
-        "--sweep-budget",
-        dest="sweep_budget",
-        type=int,
-        default=oracle.DEFAULT_SWEEP_BUDGET,
-    )
-    shared.add_argument("--output", choices=("json", "csv"), default="json")
-    shared.add_argument(
-        "--timing", action="store_true", help="include real elapsed_ms in reports"
-    )
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
+
+def _timed(timing: bool, compute, *args, **kwargs) -> oracle.OracleResult:
+    """Run one oracle; with timing, record its wall time in elapsed_ms."""
+    t0 = time.perf_counter()
+    result = compute(*args, **kwargs)
+    if timing:
+        result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return result
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossint",
         description="Exact oracles for maximum products of cross-intersecting families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mnkl", parents=[shared], help="maximum size product M(n,k,l)")
+    p = sub.add_parser("mnkl", help="maximum size product M(n,k,l)")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--method", choices=("cascade", "enum", "both"), default="cascade")
+    p.add_argument("--sweep-budget", type=int, default=oracle.DEFAULT_SWEEP_BUDGET)
+    p.add_argument(
+        "--timing", action="store_true", help="include real elapsed_ms in reports"
+    )
 
-    p = sub.add_parser("region", parents=[shared], help="figure data as CSV")
+    p = sub.add_parser("region", help="figure data as CSV")
     p.add_argument("--what", choices=("ej", "delta", "delta-prime"), required=True)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument(
@@ -122,99 +108,89 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
     )
 
-    p = sub.add_parser("check", parents=[shared], help="evaluate named conditions")
+    p = sub.add_parser("check", help="evaluate named conditions")
     p.add_argument("nkl", nargs="*", type=int, metavar="N K L")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--alpha", type=_parse_finite)
+    p.add_argument("--beta", type=_parse_finite)
     p.add_argument(
         "--conditions",
         required=True,
         help="comma list from: c1,c2,delta,delta-prime,claims",
     )
 
-    p = sub.add_parser("measure", parents=[shared], help="exact measure maximum")
+    p = sub.add_parser("measure", help="exact measure maximum")
     p.add_argument("n", type=int)
     p.add_argument("--alpha", type=_parse_fraction, required=True, metavar="P/Q")
     p.add_argument("--beta", type=_parse_fraction, required=True, metavar="R/S")
+    p.add_argument(
+        "--timing", action="store_true", help="include real elapsed_ms in reports"
+    )
 
-    p = sub.add_parser("scan", parents=[shared], help="stream conjecture evidence")
+    p = sub.add_parser("scan", help="stream conjecture evidence")
     p.add_argument("--n-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--k-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--l-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--j-max", type=int, default=64)
+    p.add_argument("--sweep-budget", type=int, default=oracle.DEFAULT_SWEEP_BUDGET)
 
-    # the shared options belong to the leaves only, so none is silently dropped
     p = sub.add_parser("family", help="family import/export")
     fam_sub = p.add_subparsers(dest="family_command", required=True)
-    mk = fam_sub.add_parser("make", parents=[shared])
+    mk = fam_sub.add_parser("make")
     mk.add_argument("kind", choices=("star", "afam", "bfam", "colex"))
     mk.add_argument("--n", type=int, required=True)
     mk.add_argument("--k", type=int, required=True)
     mk.add_argument("--center", type=int, default=1)
     mk.add_argument("--j", type=int, default=0)
     mk.add_argument("--size", type=int, default=1, help="segment size for colex")
-    info = fam_sub.add_parser("info", parents=[shared])
+    info = fam_sub.add_parser("info")
     info.add_argument("path")
-    cross = fam_sub.add_parser("cross", parents=[shared])
+    cross = fam_sub.add_parser("cross")
     cross.add_argument("path_a")
     cross.add_argument("path_b")
     return parser
 
 
-def _cmd_mnkl(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_mnkl(args: argparse.Namespace) -> int:
     results = {}
     if args.method in ("cascade", "both"):
-        results["cascade"] = oracle.max_product_cascade(
+        results["cascade"] = _timed(
+            args.timing,
+            oracle.max_product_cascade,
             args.n,
             args.k,
             args.l,
-            sweep_budget=config.sweep_budget,
-            timing=args.timing,
+            sweep_budget=args.sweep_budget,
         ).to_dict()
     if args.method in ("enum", "both"):
-        results["enumeration"] = oracle.max_product_enumeration(
-            args.n, args.k, args.l, timing=args.timing
+        results["enumeration"] = _timed(
+            args.timing, oracle.max_product_enumeration, args.n, args.k, args.l
         ).to_dict()
     body = {"results": results}
     if args.method == "both":
         body["agree"] = results["cascade"]["value"] == results["enumeration"]["value"]
-    report = _report(config, "mnkl", body)
-    if config.output == "csv":
-        rows = [
-            (name, res["value"], res["method"]) for name, res in results.items()
-        ]
-        _emit_csv_rows(["result", "value", "method"], rows)
-    else:
-        _emit_json(report)
+    _emit_json(_report("mnkl", body))
     if args.method == "both" and not body["agree"]:
         return EXIT_CONDITION_FAILED
     return EXIT_OK
 
 
-def _cmd_region(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_region(args: argparse.Namespace) -> int:
     header, rows = regions.curve_samples(
-        args.what,
-        args.grid,
-        alpha_range=tuple(args.alpha_range),
-        j_cap=config.j_cap,
+        args.what, args.grid, alpha_range=tuple(args.alpha_range)
     )
     _emit_csv_rows(header, rows)
     return EXIT_OK
 
 
-def _point_conditions(
-    alpha: float, beta: float, wanted: list[str], config: RunConfig
-) -> dict:
+def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
     out = {}
     for name in wanted:
         if name == "delta":
-            out["delta"] = regions.in_delta(
-                alpha, beta, j_cap=config.j_cap, tol=config.tolerance
-            )
+            out["delta"] = regions.in_delta(alpha, beta)
         elif name == "delta-prime":
             out["delta-prime"] = regions.in_delta_prime(alpha, beta)
         elif name == "claims":
-            i_first = regions.i0(alpha, config.i_max)
+            i_first = regions.i0(alpha)
             checks = {
                 "A(2,1)": regions.product_bound_condition(alpha, beta, 2, 1, "A"),
                 "A(3,1)": regions.product_bound_condition(alpha, beta, 3, 1, "A"),
@@ -233,7 +209,7 @@ def _point_conditions(
     return out
 
 
-def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
     if not wanted:
         raise ValueError(
@@ -257,46 +233,30 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         if args.alpha is None or args.beta is None:
             raise ValueError("point conditions need both --alpha and --beta")
         body.update(alpha=args.alpha, beta=args.beta)
-        body["conditions"] = _point_conditions(args.alpha, args.beta, wanted, config)
-    flat = {
-        name: (value["holds"] if isinstance(value, dict) else value)
-        for name, value in body["conditions"].items()
-    }
-    body["all_hold"] = all(flat.values())
-    report = _report(config, "check", body)
-    if config.output == "csv":
-        _emit_csv_rows(
-            ["condition", "holds"], [(name, flat[name]) for name in flat]
-        )
-    else:
-        _emit_json(report)
+        body["conditions"] = _point_conditions(args.alpha, args.beta, wanted)
+    body["all_hold"] = all(
+        value["holds"] if isinstance(value, dict) else value
+        for value in body["conditions"].values()
+    )
+    _emit_json(_report("check", body))
     return EXIT_OK if body["all_hold"] else EXIT_CONDITION_FAILED
 
 
-def _cmd_measure(args: argparse.Namespace, config: RunConfig) -> int:
-    result = oracle.measure_oracle(args.n, args.alpha, args.beta, timing=args.timing)
+def _cmd_measure(args: argparse.Namespace) -> int:
+    result = _timed(
+        args.timing, oracle.measure_oracle, args.n, args.alpha, args.beta
+    )
     product = args.alpha * args.beta
     body = {
         "result": result.to_dict(),
         "alpha_beta": str(product),
         "equals_alpha_beta": result.value == product,
     }
-    report = _report(config, "measure", body)
-    if config.output == "csv":
-        _emit_csv_rows(
-            ["key", "value"],
-            [
-                ("value", str(result.value)),
-                ("alpha_beta", str(product)),
-                ("equals_alpha_beta", body["equals_alpha_beta"]),
-            ],
-        )
-    else:
-        _emit_json(report)
+    _emit_json(_report("measure", body))
     return EXIT_OK
 
 
-def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     emitted = 0
     reached = 0
     for n in range(args.n_range[0], args.n_range[1] + 1):
@@ -305,14 +265,17 @@ def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
                 if not regions.in_omega_prime(n, k, l):
                     continue
                 report = oracle.conjecture_scan(
-                    n, k, l, j_max=args.j_max, sweep_budget=config.sweep_budget
+                    n, k, l, j_max=args.j_max, sweep_budget=args.sweep_budget
                 )
                 if report["label"] != "out-of-reach":
                     reached += 1
-                report = _report(config, "scan", report)
-                sys.stdout.write(
-                    json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+                line = json.dumps(
+                    _report("scan", report),
+                    sort_keys=True,
+                    separators=(",", ":"),
+                    allow_nan=False,
                 )
+                sys.stdout.write(line + "\n")
                 emitted += 1
     if emitted > 0 and reached == 0:
         print("every instance exceeded oracle capacity", file=sys.stderr)
@@ -320,7 +283,7 @@ def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_family(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_family(args: argparse.Namespace) -> int:
     if args.family_command == "make":
         if args.kind == "star":
             fam = families.star_uniform(args.n, args.k, args.center)
@@ -335,12 +298,7 @@ def _cmd_family(args: argparse.Namespace, config: RunConfig) -> int:
     if args.family_command == "info":
         with open(args.path, encoding="ascii") as handle:
             fam = families.from_text(handle.read())
-        report = _report(
-            config,
-            "family-info",
-            {"n": fam.n, "k": fam.k, "size": len(fam)},
-        )
-        _emit_json(report)
+        _emit_json(_report("family-info", {"n": fam.n, "k": fam.k, "size": len(fam)}))
         return EXIT_OK
     with open(args.path_a, encoding="ascii") as handle:
         fam_a = families.from_text(handle.read())
@@ -348,7 +306,6 @@ def _cmd_family(args: argparse.Namespace, config: RunConfig) -> int:
         fam_b = families.from_text(handle.read())
     crossing = families.is_cross_intersecting(fam_a, fam_b)
     report = _report(
-        config,
         "family-cross",
         {
             "cross_intersecting": crossing,
@@ -377,9 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    config = _config_from_args(args)
     try:
-        return _DISPATCH[args.command](args, config)
+        return _DISPATCH[args.command](args)
     except (CapacityError, UndecidableAtTolerance, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

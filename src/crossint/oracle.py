@@ -28,12 +28,11 @@ oracles short-circuit to C(n,k) * C(n,l) there.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
 
-from .cascade import _advance, _digits, kk_cross_bound
+from .cascade import _advance, _digits, _largest_a, kk_cross_bound
 from .errors import CapacityError
 from .exactarith import binom
 from .families import (
@@ -80,15 +79,22 @@ def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     """
     u, drop = n - k, n - k - l
     layer = binom(n, l)
-    # after the last size _advance may emit the digit C(n+1, 1) when u = 1
-    term = [[binom(a, lev - drop) for a in range(n + 2)] for lev in range(u + 1)]
+    # A digit (a, lev) of any m <= top has C(a, lev) <= m, so row lev stops
+    # at _largest_a(top, lev); top counts the size _advance emits after the
+    # last one, which is the digit C(n+1, 1) when u = 1.  Digits never sit
+    # below their level or at level 0, so those entries are 0 and unread.
+    top = binom(n, k) + 1
+    term = [[]]
+    for lev in range(1, u + 1):
+        last = min(_largest_a(top, lev), n + 1)
+        term.append([0] * lev + [binom(a, lev - drop) for a in range(lev, last + 1)])
     digits = _digits(1, u)
     shadow = [0] * (u + 1)
     for i, (a, lev) in enumerate(digits, 1):
         shadow[i] = shadow[i - 1] + term[lev][a]
     depth = len(digits)
     best, wits = -1, []
-    for m in range(1, binom(n, k) + 1):
+    for m in range(1, top):
         val = m * (layer - shadow[depth])
         if val > best:
             best, wits = val, [m]
@@ -107,39 +113,28 @@ def max_product_cascade(
     l: int,
     *,
     sweep_budget: int = DEFAULT_SWEEP_BUDGET,
-    timing: bool = False,
 ) -> OracleResult:
     """M(n, k, l) by sweeping every first-family size against the shadow bound."""
     _check_uniform_params(n, k, l)
-    t0 = time.perf_counter()
     params = {"n": n, "k": k, "l": l}
     if k + l > n:
         value = binom(n, k) * binom(n, l)
-        result = OracleResult(
+        return OracleResult(
             value,
             [{"a_size": binom(n, k), "b_size": binom(n, l)}],
             "cascade",
             params,
         )
-    else:
-        total = binom(n, k)
-        if total > sweep_budget:
-            raise CapacityError(
-                f"sweep over {total} sizes exceeds budget {sweep_budget}"
-            )
-        best, wits = _sweep(n, k, l)
-        result = OracleResult(
-            best,
-            [
-                {"a_size": m, "b_size": kk_cross_bound(n, k, l, m)}
-                for m in wits
-            ],
-            "cascade",
-            params,
-        )
-    if timing:
-        result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return result
+    total = binom(n, k)
+    if total > sweep_budget:
+        raise CapacityError(f"sweep over {total} sizes exceeds budget {sweep_budget}")
+    best, wits = _sweep(n, k, l)
+    return OracleResult(
+        best,
+        [{"a_size": m, "b_size": kk_cross_bound(n, k, l, m)} for m in wits],
+        "cascade",
+        params,
+    )
 
 
 def achieving_pair(n: int, k: int, l: int, m: int) -> tuple[UniformFamily, UniformFamily]:
@@ -161,7 +156,6 @@ def max_product_enumeration(
     l: int,
     *,
     canonical_witnesses: bool = False,
-    timing: bool = False,
 ) -> OracleResult:
     """M(n, k, l) by exhausting all 2^C(n,k) first families.
 
@@ -171,18 +165,14 @@ def max_product_enumeration(
     representatives under relabeling are materialized on request.
     """
     _check_uniform_params(n, k, l)
-    t0 = time.perf_counter()
     params = {"n": n, "k": k, "l": l}
     if k + l > n:
-        result = OracleResult(
+        return OracleResult(
             binom(n, k) * binom(n, l),
             {"optimal_count": 1, "optimal_sizes": [binom(n, k)], "all_stars": False},
             "enumeration",
             params,
         )
-        if timing:
-            result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        return result
     nk = binom(n, k)
     if nk > ENUMERATION_CAP:
         raise CapacityError(f"C({n},{k}) = {nk} exceeds enumeration cap {ENUMERATION_CAP}")
@@ -225,10 +215,7 @@ def max_product_enumeration(
     }
     if canonical_witnesses:
         witnesses["canonical_families"] = _canonical_families(n, ksets, arg_set)
-    result = OracleResult(best, witnesses, "enumeration", params)
-    if timing:
-        result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return result
+    return OracleResult(best, witnesses, "enumeration", params)
 
 
 def _canonical_families(
@@ -270,7 +257,6 @@ def uniqueness_check(
     k: int,
     l: int,
     *,
-    enumerate_if_feasible: bool = True,
     sweep_budget: int = DEFAULT_SWEEP_BUDGET,
 ) -> dict:
     """Is the star size the only maximizer, and is the star structure forced?
@@ -300,7 +286,7 @@ def uniqueness_check(
         unique_size=unique,
         star_forced=unique and k + l < n,
     )
-    if enumerate_if_feasible and binom(n, k) <= ENUMERATION_CAP:
+    if binom(n, k) <= ENUMERATION_CAP:
         enum = max_product_enumeration(n, k, l)
         report["enumeration"] = {
             "value": str(enum.value),
@@ -316,14 +302,7 @@ def uniqueness_check(
 # ---------------------------------------------------------------------------
 
 
-def measure_oracle(
-    n: int,
-    alpha: Fraction,
-    beta: Fraction,
-    *,
-    witness_cap: int = WITNESS_CAP,
-    timing: bool = False,
-) -> OracleResult:
+def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     """Exact maximum of mu_alpha(A) * mu_beta(B) over cross-intersecting pairs.
 
     Searches up-closed first families only (lossless; see module notes) by
@@ -340,7 +319,6 @@ def measure_oracle(
         raise CapacityError(
             f"monotone-family search is capped at n = {MEASURE_CAP}, got {n}"
         )
-    t0 = time.perf_counter()
     p, q = alpha.numerator, alpha.denominator
     r, s = beta.numerator, beta.denominator
     size = 1 << n
@@ -370,7 +348,7 @@ def measure_oracle(
                 winners = [_family_bits(included)]
                 truncated = False
             elif value == best:
-                if len(winners) < witness_cap:
+                if len(winners) < WITNESS_CAP:
                     winners.append(_family_bits(included))
                 else:
                     truncated = True
@@ -393,15 +371,12 @@ def measure_oracle(
     search(0, 0, 0)
     value = Fraction(best, q**n * total_b)
     witnesses = {
-        "optimal_count": len(winners) if not truncated else f">{witness_cap}",
+        "optimal_count": len(winners) if not truncated else f">{WITNESS_CAP}",
         "pairs": [_witness_pair(bits, n) for bits in winners],
     }
-    result = OracleResult(
+    return OracleResult(
         value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}
     )
-    if timing:
-        result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return result
 
 
 def _family_bits(included: bytearray) -> int:

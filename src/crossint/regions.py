@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CapacityError,
     CertificationError,
     NotFoundError,
     UndecidableAtTolerance,
@@ -34,6 +35,8 @@ from .exactarith import DEFAULT_TOL, binom, gen_binom
 
 DEFAULT_J_CAP = 64
 DEFAULT_I_MAX = 1000
+#: Most alphas one curve table may hold; every row is built in memory.
+MAX_GRID = 10**5
 
 
 @dataclass(frozen=True)
@@ -497,6 +500,8 @@ def curve_samples(
     """
     if grid < 2:
         raise ValueError(f"need at least 2 grid points, got {grid}")
+    if grid > MAX_GRID:
+        raise CapacityError(f"{grid} grid points exceed the grid cap {MAX_GRID}")
     lo, hi = alpha_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"bad alpha range ({lo}, {hi})")

@@ -21,8 +21,8 @@ def test_mnkl_both_agree(capsys):
     report = json.loads(out)
     assert report["agree"]
     assert report["results"]["cascade"]["value"] == "6"
-    assert report["schema"] == "crossint-report/1"
-    assert report["config"]["sweep_budget"] == 10**8
+    assert report["schema"] == "crossint-report/2"
+    assert "config" not in report
 
 
 def test_mnkl_reference_instance(capsys):
@@ -71,6 +71,12 @@ def test_region_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "alpha,value"
+
+
+def test_region_grid_cap_exit(capsys):
+    code, out, err = run(capsys, "region", "--what", "ej", "--grid", str(10**5 + 1))
+    assert (code, out) == (3, "")
+    assert "grid cap" in err
 
 
 def test_region_bad_range(capsys):
@@ -135,12 +141,28 @@ def test_check_without_conditions_is_a_usage_error(capsys, conditions):
 
 
 def test_check_csv_output(capsys):
+    # every report but the region tables is JSON; there is no --output
     code, out, _ = run(
         capsys, "check", "20", "5", "11", "--conditions", "c1,c2",
         "--output", "csv",
     )
-    assert code == 0
-    assert out.splitlines() == ["condition,holds", "c1,True", "c2,True"]
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ["--alpha", "nan", "--beta", "0.55"],
+        ["--alpha", "0.25", "--beta", "inf"],
+        ["--alpha=-inf", "--beta", "0.55"],
+        ["--alpha", "0.25", "--beta", "NaN"],
+        ["--alpha", "x", "--beta", "0.55"],
+    ],
+)
+def test_check_non_finite_point_is_a_usage_error(capsys, point):
+    code, out, err = run(capsys, "check", *point, "--conditions", "delta")
+    assert (code, out) == (2, "")
+    assert "number" in err
 
 
 def test_measure_command(capsys):
@@ -259,8 +281,50 @@ def test_family_options_belong_to_the_leaf_commands(capsys):
         code, out, _ = run(capsys, "family", *opts, "make", *star)
         assert (code, out) == (2, "")
         code, out, _ = run(capsys, "family", "make", *opts, *star)
+        assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "family", "make", *star)
+    assert code == 0
+    assert out.splitlines()[0] == "4 2"
+
+
+# the options every command used to share, with a value each takes
+SHARED_OPTIONS = {
+    "--tolerance": ["1e-9"],
+    "--j-cap": ["5"],
+    "--i-max": ["10"],
+    "--sweep-budget": ["100"],
+    "--output": ["csv"],
+    "--timing": [],
+}
+KEPT_OPTIONS = {
+    "mnkl": {"--sweep-budget", "--timing"},
+    "measure": {"--timing"},
+    "scan": {"--sweep-budget"},
+}
+LEAF_COMMANDS = {
+    "mnkl": ["mnkl", "6", "2", "3"],
+    "region": ["region", "--what", "ej", "--grid", "3"],
+    "check": ["check", "--alpha", "0.25", "--beta", "0.55", "--conditions", "delta"],
+    "measure": ["measure", "3", "--alpha", "1/4", "--beta", "1/2"],
+    "scan": ["scan", "--n-range", "5", "5", "--k-range", "1", "1", "--l-range", "3", "3"],
+    "family make": ["family", "make", "star", "--n", "4", "--k", "2"],
+    "family info": ["family", "info", "{one}"],
+    "family cross": ["family", "cross", "{one}", "{one}"],
+}
+
+
+@pytest.mark.parametrize("option", list(SHARED_OPTIONS))
+@pytest.mark.parametrize("leaf", list(LEAF_COMMANDS))
+def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path, leaf, option):
+    one = tmp_path / "one.txt"
+    one.write_text("3 1\n1\n")
+    argv = [tok.format(one=one) for tok in LEAF_COMMANDS[leaf]]
+    code, out, _ = run(capsys, *argv, option, *SHARED_OPTIONS[option])
+    if option in KEPT_OPTIONS.get(leaf, ()):
         assert code == 0
-        assert out.splitlines()[0] == "4 2"
+        assert json.JSONDecoder().raw_decode(out)[0]["command"] == leaf
+    else:
+        assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -296,9 +360,7 @@ def test_threads_env(monkeypatch, capsys):
     monkeypatch.delenv("CROSSINT_THREADS", raising=False)
     code, plain, _ = run(capsys, "mnkl", "6", "2", "3")
     assert code == 0
-    assert sorted(json.loads(plain)["config"]) == [
-        "i_max", "j_cap", "output", "sweep_budget", "tolerance"
-    ]
+    assert "config" not in json.loads(plain)
     monkeypatch.setenv("CROSSINT_THREADS", "2")
     code, out, _ = run(capsys, "mnkl", "6", "2", "3")
     assert (code, out) == (0, plain)
@@ -320,3 +382,9 @@ def test_timing_flag_populates_elapsed(capsys):
     code, out, _ = run(capsys, "mnkl", "8", "2", "3", "--timing")
     assert code == 0
     assert json.loads(out)["results"]["cascade"]["elapsed_ms"] > 0.0
+    measure = ["measure", "3", "--alpha", "1/4", "--beta", "1/2"]
+    code, out, _ = run(capsys, *measure, "--timing")
+    assert code == 0
+    assert json.loads(out)["result"]["elapsed_ms"] > 0.0
+    code, out, _ = run(capsys, *measure)
+    assert json.loads(out)["result"]["elapsed_ms"] == 0.0

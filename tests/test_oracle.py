@@ -57,6 +57,34 @@ def test_sweep_chunk_matches_reference_sweep():
                 assert _sweep(n, k, l) == reference_sweep(n, k, l), (n, k, l)
 
 
+def test_sweep_table_stays_within_reachable_digits(monkeypatch):
+    # k = 1 has the closed form max over m of m * C(n - m, l - m): the
+    # second family holds every l-set through all m chosen points
+    import crossint.cascade as cascade
+    import crossint.oracle as oracle
+
+    calls = 0
+
+    def counting_binom(a, b):
+        nonlocal calls
+        calls += 1
+        return binom(a, b)
+
+    monkeypatch.setattr(cascade, "binom", counting_binom)
+    monkeypatch.setattr(oracle, "binom", counting_binom)
+    n, l = 400, 200
+    res = max_product_cascade(n, 1, l)
+    assert calls < 8000
+    products = {m: m * binom(n - m, l - m) for m in range(1, n + 1)}
+    best = max(products.values())
+    assert res.value == best
+    assert res.witnesses == [
+        {"a_size": m, "b_size": binom(n - m, l - m)}
+        for m in sorted(products)
+        if products[m] == best
+    ]
+
+
 def test_enumeration_examples():
     res = max_product_enumeration(5, 1, 3)
     assert res.value == 6

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossint.errors import CertificationError, UndecidableAtTolerance
+from crossint.errors import CapacityError, CertificationError, UndecidableAtTolerance
 from crossint.exactarith import binom
 from crossint.families import (
     a_family_uniform,
@@ -346,3 +346,13 @@ def test_curve_samples_boundaries():
         curve_samples("nope", 10)
     with pytest.raises(ValueError):
         curve_samples("delta", 1)
+
+
+def test_curve_samples_cap_grid_before_building(monkeypatch):
+    import crossint.regions as regions
+
+    monkeypatch.setattr(regions, "MAX_GRID", 10)
+    assert len(curve_samples("delta", 10)[1]) == 10
+    for which in ("ej", "delta", "delta-prime"):
+        with pytest.raises(CapacityError, match="grid cap 10"):
+            curve_samples(which, 11)
