@@ -29,9 +29,11 @@ from .exactarith import binom, gen_binom, solve_binom_x
 
 def _largest_a(m: int, lev: int) -> int:
     """Largest a with C(a, lev) <= m, for m >= 1."""
+    # the bracket's offset above lev doubles, so a high level never
+    # evaluates C(2 * lev, lev) when the answer is close to lev
     lo, hi = lev, lev + 1
     while binom(hi, lev) <= m:
-        lo, hi = hi, hi * 2
+        lo, hi = hi, lev + 2 * (hi - lev)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if binom(mid, lev) <= m:

@@ -28,7 +28,7 @@ from .errors import (
     UndecidableAtTolerance,
 )
 
-SCHEMA = "crossint-report/2"
+SCHEMA = "crossint-report/3"
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILED = 1
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--k-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--l-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    p.add_argument("--j-max", type=int, default=64)
     p.add_argument("--sweep-budget", type=int, default=oracle.DEFAULT_SWEEP_BUDGET)
 
     p = sub.add_parser("family", help="family import/export")
@@ -264,9 +263,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             for l in range(args.l_range[0], args.l_range[1] + 1):
                 if not regions.in_omega_prime(n, k, l):
                     continue
-                report = oracle.conjecture_scan(
-                    n, k, l, j_max=args.j_max, sweep_budget=args.sweep_budget
-                )
+                report = oracle.conjecture_scan(n, k, l, sweep_budget=args.sweep_budget)
                 if report["label"] != "out-of-reach":
                     reached += 1
                 line = json.dumps(

@@ -15,9 +15,10 @@ makes the inverse problem "find x with C(x, r) = m" solvable by bisection.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import BracketingError
+from .errors import BracketingError, CapacityError
 
 #: Comparison tolerance for all floating-point region predicates.
 DEFAULT_TOL = 1e-12
@@ -33,6 +34,21 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def exact_text(value: int | Fraction) -> str:
+    """Decimal text of an exact result.
+
+    Python refuses to convert integers longer than its int-to-str digit
+    limit; such a result is past capacity, not a usage error.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise CapacityError(
+            f"result exceeds the {sys.get_int_max_str_digits()}-digit limit "
+            "for integer string conversion"
+        ) from exc
 
 
 def gen_binom(x: float, t: int) -> float:

@@ -1,15 +1,15 @@
 """Exact maximum-product oracles for cross-intersecting families.
 
-Two independent methods back every reported value.
-
 Uniform side.  The cascade sweep maximizes m * (C(n,l) - minimum l-shadow
 of m (n-k)-sets) over all m: the shadow of the complements of the first
 family is forbidden to the second family, which makes the expression an
 upper bound for every cross-intersecting pair, and complementing a colex
-segment attains it, so the sweep maximum is exactly M(n,k,l).  The
-enumeration oracle instead walks every subset of the k-layer and pairs it
-with the largest compatible second family; exponential, but free of any
-shadow reasoning, which is what makes the agreement check meaningful.
+segment attains it, so the sweep maximum is exactly M(n,k,l).  The sweep
+alone decides every reported maximum, uniqueness verdict and scan label.
+The enumeration oracle instead walks every subset of the k-layer and pairs
+it with the largest compatible second family; exponential, but free of any
+shadow reasoning, so it is an independent cross-check of the sweep, run
+only by `mnkl --method enum|both` and by the tests.
 
 Measure side.  The search space shrinks losslessly to up-closed
 (monotone) families: up-closing the first family preserves
@@ -34,7 +34,7 @@ from typing import Any, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound
 from .errors import CapacityError
-from .exactarith import binom
+from .exactarith import binom, exact_text
 from .families import (
     UniformFamily,
     colex_masks,
@@ -43,7 +43,7 @@ from .families import (
     elements_of,
     shadow,
 )
-from .regions import _check_uniform_params, in_omega_prime
+from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
 
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
@@ -63,7 +63,7 @@ class OracleResult:
 
     def to_dict(self) -> dict:
         out = dict(self.params)
-        out["value"] = str(self.value)
+        out["value"] = exact_text(self.value)
         out["witnesses"] = self.witnesses
         out["method"] = self.method
         out["elapsed_ms"] = self.elapsed_ms
@@ -150,19 +150,12 @@ def achieving_pair(n: int, k: int, l: int, m: int) -> tuple[UniformFamily, Unifo
     return fam_a, fam_b
 
 
-def max_product_enumeration(
-    n: int,
-    k: int,
-    l: int,
-    *,
-    canonical_witnesses: bool = False,
-) -> OracleResult:
+def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     """M(n, k, l) by exhausting all 2^C(n,k) first families.
 
     For each subset of the k-layer, the best second family is every l-set
     meeting all chosen members.  Witness structure is summarized (count,
-    sizes, whether only stars attain the maximum); canonical
-    representatives under relabeling are materialized on request.
+    sizes, whether only stars attain the maximum).
     """
     _check_uniform_params(n, k, l)
     params = {"n": n, "k": k, "l": l}
@@ -213,43 +206,7 @@ def max_product_enumeration(
         "optimal_sizes": sizes,
         "all_stars": arg_set <= star_masks,
     }
-    if canonical_witnesses:
-        witnesses["canonical_families"] = _canonical_families(n, ksets, arg_set)
     return OracleResult(best, witnesses, "enumeration", params)
-
-
-def _canonical_families(
-    n: int, ksets: list[int], selections: set[int], cap: int = 1000
-) -> list[list[tuple[int, ...]]]:
-    """Deduplicate optimal families under relabeling of the ground set."""
-    import itertools
-
-    if len(selections) > cap:
-        raise CapacityError(
-            f"{len(selections)} optimal families exceed canonicalization cap {cap}"
-        )
-    perms = list(itertools.permutations(range(n)))
-
-    def apply(perm: tuple[int, ...], mask: int) -> int:
-        out = 0
-        for src in range(n):
-            if mask >> src & 1:
-                out |= 1 << perm[src]
-        return out
-
-    seen = set()
-    reps = []
-    for sel in sorted(selections):
-        members = tuple(
-            sorted(ksets[idx] for idx in range(len(ksets)) if sel >> idx & 1)
-        )
-        canon = min(
-            tuple(sorted(apply(p, m) for m in members)) for p in perms
-        )
-        if canon not in seen:
-            seen.add(canon)
-            reps.append([elements_of(m) for m in canon])
-    return reps
 
 
 def uniqueness_check(
@@ -261,14 +218,14 @@ def uniqueness_check(
 ) -> dict:
     """Is the star size the only maximizer, and is the star structure forced?
 
-    Size uniqueness comes from the cascade sweep.  Structure is forced by
-    the shadow equality condition when k + l < n: any optimal pair then
-    has first-family complements achieving the minimum shadow at binomial
-    size, which only a full layer does.  When the full enumeration is
-    feasible, every optimal family is additionally checked directly.
+    Both verdicts come from the cascade sweep alone.  Size uniqueness is
+    its witness list.  Structure is forced by the shadow equality condition
+    when k + l < n: any optimal pair then has first-family complements
+    achieving the minimum shadow at binomial size, which only a full layer
+    does.  The enumeration oracle checks the same verdicts in the tests.
     """
     sweep = max_product_cascade(n, k, l, sweep_budget=sweep_budget)
-    report: dict[str, Any] = {"n": n, "k": k, "l": l, "value": str(sweep.value)}
+    report: dict[str, Any] = {"n": n, "k": k, "l": l, "value": exact_text(sweep.value)}
     if k + l > n:
         report.update(
             maximizing_sizes=[binom(n, k)],
@@ -286,14 +243,6 @@ def uniqueness_check(
         unique_size=unique,
         star_forced=unique and k + l < n,
     )
-    if binom(n, k) <= ENUMERATION_CAP:
-        enum = max_product_enumeration(n, k, l)
-        report["enumeration"] = {
-            "value": str(enum.value),
-            "agrees": enum.value == sweep.value,
-            "all_stars": enum.witnesses["all_stars"],
-            "optimal_count": enum.witnesses["optimal_count"],
-        }
     return report
 
 
@@ -427,7 +376,6 @@ def conjecture_scan(
     n: int,
     k: int,
     l: int,
-    j_max: int = 64,
     *,
     sweep_budget: int = DEFAULT_SWEEP_BUDGET,
 ) -> dict:
@@ -436,7 +384,8 @@ def conjecture_scan(
     The hypothesis asks that every j-indexed blocking pair have a size
     product strictly below the star product.  Past j = max(k, n-l) - 1
     both perturbation terms vanish and the pair IS the star pair, so the
-    scan certifies that tail as degenerate rather than checking it.
+    scan certifies that tail as degenerate rather than checking it.  The
+    index is capped at regions.DEFAULT_J_CAP, as for the e_j curves.
     Output labels the instance as evidence only; nothing here resolves
     the general question.
     """
@@ -446,26 +395,29 @@ def conjecture_scan(
     degenerate_from = max(k, n - l)
     checked = []
     first_violation = None
-    for j in range(0, min(j_max, degenerate_from - 1) + 1):
+    checked_up_to = min(DEFAULT_J_CAP, degenerate_from - 1)
+    for j in range(0, checked_up_to + 1):
         size_a = binom(n - 1, k - 1) + binom(n - j - 2, k - j - 1)
         size_b = binom(n - 1, l - 1) - binom(n - j - 2, l - 1)
         holds = size_a * size_b < star_product
-        checked.append({"j": j, "product": str(size_a * size_b), "holds": holds})
+        checked.append(
+            {"j": j, "product": exact_text(size_a * size_b), "holds": holds}
+        )
         if not holds and first_violation is None:
             first_violation = j
     hypothesis = {
         "holds": first_violation is None,
         "first_violation": first_violation,
-        "checked_up_to": min(j_max, degenerate_from - 1),
+        "checked_up_to": checked_up_to,
         "degenerate_from": degenerate_from,
-        "tail_certified": j_max >= degenerate_from - 1,
+        "tail_certified": DEFAULT_J_CAP >= degenerate_from - 1,
         "per_j": checked,
     }
     report: dict[str, Any] = {
         "n": n,
         "k": k,
         "l": l,
-        "star_product": str(star_product),
+        "star_product": exact_text(star_product),
         "hypothesis": hypothesis,
     }
     try:
@@ -474,15 +426,7 @@ def conjecture_scan(
         report["oracle"] = None
         report["label"] = "out-of-reach"
         return report
-    conclusion = (
-        int(unique["value"]) == star_product and unique["unique_size"]
-        and unique.get("star_forced", False)
-    )
-    if "enumeration" in unique:
-        conclusion = conclusion or (
-            int(unique["value"]) == star_product
-            and unique["enumeration"]["all_stars"]
-        )
+    conclusion = int(unique["value"]) == star_product and unique["star_forced"]
     report["oracle"] = unique
     report["conclusion_holds"] = conclusion
     if hypothesis["holds"]:

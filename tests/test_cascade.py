@@ -7,6 +7,7 @@ from crossint.cascade import (
     CascadeForm,
     _advance,
     _digits,
+    _largest_a,
     cascade_decompose,
     fractional_cascade,
     kk_cross_bound,
@@ -59,6 +60,35 @@ def test_increment_matches_fresh_decompose():
         for m in range(2, 3000):
             _advance(digits)
             assert digits == _digits(m, u), (m, u)
+
+
+def test_largest_a_brackets_m():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(2000):
+        lev = rng.randint(1, 60)
+        cases.append((rng.randint(1, 10 ** rng.randint(1, 40)), lev))
+    for a, lev in [(1, 1), (5, 2), (40, 7), (3000, 3000), (3001, 3000), (70, 35)]:
+        cases += [(binom(a, lev), lev), (binom(a, lev) - 1, lev)]
+    for m, lev in cases:
+        if m < 1:
+            continue
+        a = _largest_a(m, lev)
+        assert binom(a, lev) <= m < binom(a + 1, lev), (m, lev)
+
+
+def test_largest_a_stays_near_a_high_level(monkeypatch):
+    import crossint.cascade as cascade
+
+    uppers = []
+
+    def counting_binom(n, k):
+        uppers.append(n)
+        return binom(n, k)
+
+    monkeypatch.setattr(cascade, "binom", counting_binom)
+    assert _largest_a(3001, 3000) == 3001
+    assert max(uppers) <= 3002
 
 
 def test_truncate_example():

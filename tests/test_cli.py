@@ -21,7 +21,7 @@ def test_mnkl_both_agree(capsys):
     report = json.loads(out)
     assert report["agree"]
     assert report["results"]["cascade"]["value"] == "6"
-    assert report["schema"] == "crossint-report/2"
+    assert report["schema"] == "crossint-report/3"
     assert "config" not in report
 
 
@@ -197,18 +197,32 @@ def test_check_degenerate_nkl_is_a_usage_error(capsys, conditions):
     assert "need 1 <= k, l <= n-1" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _heavy_modules_after(statement):
+    """Which of numpy and the process-pool modules a fresh interpreter loads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        "import sys, crossint.cli; "
+        f"import sys, crossint.cli; {statement}; "
         "print([m for m in ('numpy', 'multiprocessing', 'concurrent.futures') "
-        "if m in sys.modules])"
+        "if m in sys.modules], file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stderr.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _heavy_modules_after("pass") == "[]"
+
+
+def test_scan_leaves_numpy_unloaded():
+    # C(n, 1) <= 24 here, where the scan once ran the enumeration oracle
+    scan = (
+        "crossint.cli.main(['scan', '--n-range', '9', '11', '--k-range', '1', '1', "
+        "'--l-range', '5', '7'])"
+    )
+    assert _heavy_modules_after(scan) == "[]"
 
 
 def test_measure_capacity_exit(capsys):
@@ -239,6 +253,31 @@ def test_scan_empty_range(capsys):
     )
     assert code == 0
     assert out == ""
+
+
+def test_scan_j_max_is_not_an_option(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--n-range", "15", "15", "--k-range", "5", "5",
+        "--l-range", "9", "9", "--j-max", "5",
+    )
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mnkl", "20000", "15000", "10000"],
+        ["scan", "--n-range", "10000", "10000", "--k-range", "2000", "2000",
+         "--l-range", "5001", "5001"],
+    ],
+    ids=["mnkl", "scan"],
+)
+def test_result_past_digit_limit_is_a_capacity_exit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
 
 def test_scan_all_out_of_reach(capsys):

@@ -6,6 +6,7 @@ import pytest
 from crossint.errors import CapacityError
 from crossint.exactarith import binom
 from crossint.oracle import (
+    ENUMERATION_CAP,
     _sweep,
     achieving_pair,
     conjecture_scan,
@@ -14,6 +15,7 @@ from crossint.oracle import (
     measure_oracle,
     uniqueness_check,
 )
+from crossint.regions import in_omega_prime
 
 from support import brute_max_product, brute_measure_product, reference_sweep
 
@@ -102,15 +104,6 @@ def test_enumeration_cap():
         max_product_enumeration(10, 5, 4)
 
 
-def test_enumeration_canonical_witnesses():
-    res = max_product_enumeration(5, 1, 3, canonical_witnesses=True)
-    reps = res.witnesses["canonical_families"]
-    # one singleton class and one pair class, up to relabeling
-    assert sorted(len(r) for r in reps) == [1, 2]
-    res = max_product_enumeration(7, 2, 4, canonical_witnesses=True)
-    assert len(res.witnesses["canonical_families"]) == 1
-
-
 def test_oracles_agree_on_a_slice():
     for n in range(2, 8):
         for k in range(1, n):
@@ -131,8 +124,6 @@ def test_achieving_pair_realizes_witnesses():
 
 def test_witness_b_sizes_bounded_in_integer_region():
     # no optimal configuration has a second family above the star size there
-    from crossint.regions import in_omega_prime
-
     for n in range(5, 13):
         for k in range(1, n):
             for l in range(1, n):
@@ -150,21 +141,21 @@ def test_uniqueness_reports():
     rep = uniqueness_check(5, 1, 3)
     assert not rep["unique_size"]
     assert rep["maximizing_sizes"] == [1, 2]
-    assert not rep["enumeration"]["all_stars"]
+    assert not max_product_enumeration(5, 1, 3).witnesses["all_stars"]
     # odd ground sets beyond both thresholds force stars
     for n, k, l in [(5, 2, 2), (7, 2, 3), (9, 3, 4)]:
         if n > 2 * max(k, l):
             rep = uniqueness_check(n, k, l)
             assert rep["star_forced"], (n, k, l)
-            if "enumeration" in rep:
-                assert rep["enumeration"]["all_stars"]
+            if binom(n, k) <= ENUMERATION_CAP:
+                assert max_product_enumeration(n, k, l).witnesses["all_stars"]
 
 
 def test_uniqueness_not_forced_at_half():
     rep = uniqueness_check(4, 2, 2)
     assert rep["unique_size"]
     assert not rep["star_forced"]
-    assert not rep["enumeration"]["all_stars"]
+    assert not max_product_enumeration(4, 2, 2).witnesses["all_stars"]
 
 
 def test_measure_oracle_examples():
@@ -217,8 +208,31 @@ def test_conjecture_scan_reports():
     assert rep["label"] == "vacuous"
     assert rep["necessity_consistent"]
 
+    # the pair at j = 0 is below the star product but the one at j = 1 is
+    # not, so a scan stopped at j = 0 would have called this refuting
+    assert conjecture_scan(15, 5, 9)["label"] == "vacuous"
+
     with pytest.raises(ValueError):
         conjecture_scan(10, 3, 5)  # l <= n/2
+
+
+def test_scan_conclusion_matches_enumeration():
+    # the sweep alone decides the conclusion; the exhaustive oracle checks it
+    outcomes = []
+    for n in range(2, 12):
+        for k in range(1, n):
+            for l in range(1, n):
+                if not in_omega_prime(n, k, l) or binom(n, k) > 21:
+                    continue
+                rep = conjecture_scan(n, k, l)
+                enum = max_product_enumeration(n, k, l)
+                want = (
+                    enum.value == int(rep["star_product"])
+                    and enum.witnesses["all_stars"]
+                )
+                assert rep["conclusion_holds"] == want, (n, k, l)
+                outcomes.append(want)
+    assert sorted(outcomes) == [False] * 16 + [True]
 
 
 def test_conjecture_scan_tail_is_degenerate():
