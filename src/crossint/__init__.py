@@ -36,9 +36,7 @@ from .families import (
     lift,
     measure,
     measure_aj,
-    measure_aj_exact,
     measure_bj,
-    measure_bj_exact,
     shadow,
     star_uniform,
     to_text,

@@ -6,9 +6,10 @@ diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 1 a requested condition fails or methods disagree, 2 usage error,
 3 capacity or undecidability.
 
-Each command takes only the options it reads.  Reports are JSON with a
-schema tag, except the CSV figure tables of `region`; elapsed_ms is 0.0
-unless --timing is given, keeping default output byte-stable.
+Each command takes only the options it reads; caps, tolerances and
+budgets are module constants, not options.  Reports are JSON with a
+schema tag, except the CSV figure tables of `region`, and carry no wall
+times, so output is byte-stable for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 from . import families, oracle, regions
@@ -28,7 +28,7 @@ from .errors import (
     UndecidableAtTolerance,
 )
 
-SCHEMA = "crossint-report/3"
+SCHEMA = "crossint-report/4"
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILED = 1
@@ -71,15 +71,6 @@ def _parse_finite(text: str) -> float:
     return value
 
 
-def _timed(timing: bool, compute, *args, **kwargs) -> oracle.OracleResult:
-    """Run one oracle; with timing, record its wall time in elapsed_ms."""
-    t0 = time.perf_counter()
-    result = compute(*args, **kwargs)
-    if timing:
-        result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return result
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossint",
@@ -92,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--method", choices=("cascade", "enum", "both"), default="cascade")
-    p.add_argument("--sweep-budget", type=int, default=oracle.DEFAULT_SWEEP_BUDGET)
-    p.add_argument(
-        "--timing", action="store_true", help="include real elapsed_ms in reports"
-    )
 
     p = sub.add_parser("region", help="figure data as CSV")
     p.add_argument("--what", choices=("ej", "delta", "delta-prime"), required=True)
@@ -122,15 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--alpha", type=_parse_fraction, required=True, metavar="P/Q")
     p.add_argument("--beta", type=_parse_fraction, required=True, metavar="R/S")
-    p.add_argument(
-        "--timing", action="store_true", help="include real elapsed_ms in reports"
-    )
 
     p = sub.add_parser("scan", help="stream conjecture evidence")
     p.add_argument("--n-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--k-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
     p.add_argument("--l-range", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    p.add_argument("--sweep-budget", type=int, default=oracle.DEFAULT_SWEEP_BUDGET)
 
     p = sub.add_parser("family", help="family import/export")
     fam_sub = p.add_subparsers(dest="family_command", required=True)
@@ -151,19 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mnkl(args: argparse.Namespace) -> int:
     results = {}
+    nkl = (args.n, args.k, args.l)
     if args.method in ("cascade", "both"):
-        results["cascade"] = _timed(
-            args.timing,
-            oracle.max_product_cascade,
-            args.n,
-            args.k,
-            args.l,
-            sweep_budget=args.sweep_budget,
-        ).to_dict()
+        results["cascade"] = oracle.max_product_cascade(*nkl).to_dict()
     if args.method in ("enum", "both"):
-        results["enumeration"] = _timed(
-            args.timing, oracle.max_product_enumeration, args.n, args.k, args.l
-        ).to_dict()
+        results["enumeration"] = oracle.max_product_enumeration(*nkl).to_dict()
     body = {"results": results}
     if args.method == "both":
         body["agree"] = results["cascade"]["value"] == results["enumeration"]["value"]
@@ -242,9 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    result = _timed(
-        args.timing, oracle.measure_oracle, args.n, args.alpha, args.beta
-    )
+    result = oracle.measure_oracle(args.n, args.alpha, args.beta)
     product = args.alpha * args.beta
     body = {
         "result": result.to_dict(),
@@ -263,7 +236,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             for l in range(args.l_range[0], args.l_range[1] + 1):
                 if not regions.in_omega_prime(n, k, l):
                     continue
-                report = oracle.conjecture_scan(n, k, l, sweep_budget=args.sweep_budget)
+                report = oracle.conjecture_scan(n, k, l)
                 if report["label"] != "out-of-reach":
                     reached += 1
                 line = json.dumps(

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BracketingError, CapacityError
 
 #: Comparison tolerance for all floating-point region predicates.
 DEFAULT_TOL = 1e-12
 
-#: Iteration cap for the bisection solver.
+#: Iteration cap for `bisect`, the one root finder of the package.
 BISECT_MAX_ITER = 200
 
 
@@ -80,15 +81,42 @@ def _falling(x: float, t: int) -> float:
     return out
 
 
-def solve_binom_x(
-    m: float,
-    r: int,
-    lo: float,
-    hi: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = BISECT_MAX_ITER,
-) -> float:
+def binom_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether C(n, k) > cap, without computing C(n, k) when it is huge.
+
+    C(n, i) grows with i up to min(k, n - k), so the multiplicative
+    recurrence can stop at the first partial value past the cap.
+    """
+    k = min(k, n - k)
+    if k < 0:
+        return False
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - i + 1) // i
+        if value > cap:
+            return True
+    return value > cap
+
+
+def bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Locate the switch point of a monotone predicate on [lo, hi].
+
+    below(x) must be true left of the switch and false right of it.  The
+    bracket is halved until it is no wider than DEFAULT_TOL or
+    BISECT_MAX_ITER halvings have run; the midpoint is returned.
+    """
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= DEFAULT_TOL:
+            break
+        mid = (lo + hi) / 2.0
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def solve_binom_x(m: float, r: int, lo: float, hi: float) -> float:
     """Solve C(x, r) = m for x in [lo, hi] by bisection.
 
     Requires gen_binom(lo, r) <= m <= gen_binom(hi, r).  The solver works
@@ -102,17 +130,7 @@ def solve_binom_x(
         raise BracketingError(
             f"no root of C(x, {r}) = {m} bracketed by [{lo}, {hi}]"
         )
-    a = max(lo, r - 1.0)
-    b = hi
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        mid = (a + b) / 2.0
-        if _falling(mid, r) < m:
-            a = mid
-        else:
-            b = mid
-    return (a + b) / 2.0
+    return bisect(lambda x: _falling(x, r) < m, max(lo, r - 1.0), hi)
 
 
 def binom_ratio(n: int, k: int, s: int, t: int) -> Fraction:

@@ -28,6 +28,8 @@ MAX_GROUND_SET = 64
 #: Most members a constructor materializes; sizes are known from binomials
 #: before any member is built, so an oversized request fails at once.
 MAX_MEMBERS = 10**6
+#: Most member pairs a cross-intersection test compares, a few seconds' work.
+MAX_CROSS_PAIRS = 10**8
 
 
 def _check_ground(n: int) -> None:
@@ -258,6 +260,10 @@ def is_cross_intersecting(fam_a: AnyFamily, fam_b: AnyFamily) -> bool:
     """True iff every member of the first family meets every member of the second."""
     if fam_a.n != fam_b.n:
         raise ValueError("families live on different ground sets")
+    if len(fam_a) * len(fam_b) > MAX_CROSS_PAIRS:
+        raise CapacityError(
+            f"{len(fam_a)} x {len(fam_b)} member pairs exceed the cap {MAX_CROSS_PAIRS}"
+        )
     for a in fam_a.members:
         for b in fam_b.members:
             if not a & b:
@@ -278,28 +284,24 @@ def measure(fam: AnyFamily, p: Fraction) -> Fraction:
     )
 
 
-def measure_aj(alpha: float, j: int) -> float:
-    """Closed-form measure of the j-th blocking first family: a + (1-a) a^(j+1)."""
+def measure_aj(alpha: float | Fraction, j: int) -> float | Fraction:
+    """Closed-form measure of the j-th blocking first family: a + (1-a) a^(j+1).
+
+    Exact when alpha is a Fraction.
+    """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     return alpha + (1 - alpha) * alpha ** (j + 1)
 
 
-def measure_bj(beta: float, j: int) -> float:
-    """Closed-form measure of the j-th blocking second family: b - b (1-b)^(j+1)."""
+def measure_bj(beta: float | Fraction, j: int) -> float | Fraction:
+    """Closed-form measure of the j-th blocking second family: b - b (1-b)^(j+1).
+
+    Exact when beta is a Fraction.
+    """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     return beta - beta * (1 - beta) ** (j + 1)
-
-
-def measure_aj_exact(p: Fraction, j: int) -> Fraction:
-    p = Fraction(p)
-    return p + (1 - p) * p ** (j + 1)
-
-
-def measure_bj_exact(p: Fraction, j: int) -> Fraction:
-    p = Fraction(p)
-    return p - p * (1 - p) ** (j + 1)
 
 
 def lift(fam: GeneralFamily) -> GeneralFamily:

@@ -34,7 +34,7 @@ from typing import Any, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound
 from .errors import CapacityError
-from .exactarith import binom, exact_text
+from .exactarith import binom, binom_exceeds, exact_text
 from .families import (
     UniformFamily,
     colex_masks,
@@ -45,6 +45,7 @@ from .families import (
 )
 from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
 
+#: Most first-family sizes the cascade sweep walks; about 75 s of sweeping.
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
 MEASURE_CAP = 6
@@ -59,14 +60,12 @@ class OracleResult:
     witnesses: Any
     method: str
     params: dict
-    elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
         out = dict(self.params)
         out["value"] = exact_text(self.value)
         out["witnesses"] = self.witnesses
         out["method"] = self.method
-        out["elapsed_ms"] = self.elapsed_ms
         return out
 
 
@@ -107,13 +106,7 @@ def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     return best, wits
 
 
-def max_product_cascade(
-    n: int,
-    k: int,
-    l: int,
-    *,
-    sweep_budget: int = DEFAULT_SWEEP_BUDGET,
-) -> OracleResult:
+def max_product_cascade(n: int, k: int, l: int) -> OracleResult:
     """M(n, k, l) by sweeping every first-family size against the shadow bound."""
     _check_uniform_params(n, k, l)
     params = {"n": n, "k": k, "l": l}
@@ -125,9 +118,10 @@ def max_product_cascade(
             "cascade",
             params,
         )
-    total = binom(n, k)
-    if total > sweep_budget:
-        raise CapacityError(f"sweep over {total} sizes exceeds budget {sweep_budget}")
+    if binom_exceeds(n, k, DEFAULT_SWEEP_BUDGET):
+        raise CapacityError(
+            f"sweep over C({n},{k}) sizes exceeds the budget of {DEFAULT_SWEEP_BUDGET}"
+        )
     best, wits = _sweep(n, k, l)
     return OracleResult(
         best,
@@ -166,9 +160,9 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
             "enumeration",
             params,
         )
+    if binom_exceeds(n, k, ENUMERATION_CAP):
+        raise CapacityError(f"C({n},{k}) exceeds enumeration cap {ENUMERATION_CAP}")
     nk = binom(n, k)
-    if nk > ENUMERATION_CAP:
-        raise CapacityError(f"C({n},{k}) = {nk} exceeds enumeration cap {ENUMERATION_CAP}")
     # imported here, its only use, so the CLI starts without numpy
     import numpy as np
 
@@ -209,13 +203,7 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     return OracleResult(best, witnesses, "enumeration", params)
 
 
-def uniqueness_check(
-    n: int,
-    k: int,
-    l: int,
-    *,
-    sweep_budget: int = DEFAULT_SWEEP_BUDGET,
-) -> dict:
+def uniqueness_check(n: int, k: int, l: int) -> dict:
     """Is the star size the only maximizer, and is the star structure forced?
 
     Both verdicts come from the cascade sweep alone.  Size uniqueness is
@@ -224,7 +212,7 @@ def uniqueness_check(
     achieving the minimum shadow at binomial size, which only a full layer
     does.  The enumeration oracle checks the same verdicts in the tests.
     """
-    sweep = max_product_cascade(n, k, l, sweep_budget=sweep_budget)
+    sweep = max_product_cascade(n, k, l)
     report: dict[str, Any] = {"n": n, "k": k, "l": l, "value": exact_text(sweep.value)}
     if k + l > n:
         report.update(
@@ -372,13 +360,7 @@ def _witness_pair(bits: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def conjecture_scan(
-    n: int,
-    k: int,
-    l: int,
-    *,
-    sweep_budget: int = DEFAULT_SWEEP_BUDGET,
-) -> dict:
+def conjecture_scan(n: int, k: int, l: int) -> dict:
     """Evidence report: blocking-pair hypothesis vs. the oracle's verdict.
 
     The hypothesis asks that every j-indexed blocking pair have a size
@@ -421,7 +403,7 @@ def conjecture_scan(
         "hypothesis": hypothesis,
     }
     try:
-        unique = uniqueness_check(n, k, l, sweep_budget=sweep_budget)
+        unique = uniqueness_check(n, k, l)
     except CapacityError:
         report["oracle"] = None
         report["label"] = "out-of-reach"

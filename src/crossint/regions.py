@@ -31,12 +31,17 @@ from .errors import (
     NotFoundError,
     UndecidableAtTolerance,
 )
-from .exactarith import DEFAULT_TOL, binom, gen_binom
+from .exactarith import DEFAULT_TOL, binom, bisect, gen_binom
 
+#: Curves e_0 .. e_DEFAULT_J_CAP are checked one by one before the tail bound.
 DEFAULT_J_CAP = 64
+#: Largest window index i0 searches.
 DEFAULT_I_MAX = 1000
 #: Most alphas one curve table may hold; every row is built in memory.
 MAX_GRID = 10**5
+#: Largest n condition_c2 takes; its harmonic sums grow O(n) Fractions whose
+#: denominators keep growing, about 0.25 s at the cap.
+MAX_C2_N = 10**4
 
 
 @dataclass(frozen=True)
@@ -89,36 +94,28 @@ def _e_tail_floor(alpha: float, j: int) -> float:
     return 1.0 - math.exp((j * math.log(alpha) + math.log1p(-alpha)) / (j + 1))
 
 
-def boundary_condition(
-    alpha: float, beta: float, j: int, *, tol: float = DEFAULT_TOL
-) -> bool:
+def boundary_condition(alpha: float, beta: float, j: int) -> bool:
     """Strict inequality (1 + (1-a) a^j)(1 - (1-b)^(j+1)) < 1.
 
     Equivalent to the j-th blocking measure product lying below alpha*beta,
-    and to beta < e_j(alpha).  Points within tol of the boundary count as
-    failing, matching the strict reading.
+    and to beta < e_j(alpha).  Points within DEFAULT_TOL of the boundary
+    count as failing, matching the strict reading.
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"point ({alpha}, {beta}) outside (0,1)^2")
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     product = (1.0 + (1.0 - alpha) * alpha**j) * (1.0 - (1.0 - beta) ** (j + 1))
-    return product < 1.0 - tol
+    return product < 1.0 - DEFAULT_TOL
 
 
-def delta_report(
-    alpha: float,
-    beta: float,
-    *,
-    j_cap: int = DEFAULT_J_CAP,
-    tol: float = DEFAULT_TOL,
-) -> dict:
+def delta_report(alpha: float, beta: float) -> dict:
     """Detailed membership certificate for the region below every e_j.
 
-    Every curve up to j_cap is checked explicitly; the infinite tail is
-    then certified at the first uncovered index through the increasing
-    lower bound on e_j, or the call aborts if even that bound cannot
-    clear beta there.
+    Every curve up to DEFAULT_J_CAP is checked explicitly; the infinite
+    tail is then certified at the first uncovered index through the
+    increasing lower bound on e_j, or the call aborts if even that bound
+    cannot clear beta there.  Margins within DEFAULT_TOL are undecidable.
     """
     report = {
         "alpha": alpha,
@@ -133,53 +130,43 @@ def delta_report(
     if not report["in_omega"]:
         return report
     min_margin = math.inf
-    for j in range(j_cap + 1):
+    for j in range(DEFAULT_J_CAP + 1):
         margin = e_j(alpha, j) - beta
-        if margin <= -tol:
+        if margin <= -DEFAULT_TOL:
             report.update(checked_j=j + 1, violating_j=j, min_margin=margin)
             return report
         min_margin = min(min_margin, margin)
-    tail = j_cap + 1
-    if _e_tail_floor(alpha, tail) < beta + tol:
+    tail = DEFAULT_J_CAP + 1
+    if _e_tail_floor(alpha, tail) < beta + DEFAULT_TOL:
         raise CertificationError(
-            f"tail not certified for ({alpha}, {beta}) at j = {tail}; raise j_cap"
+            f"tail not certified for ({alpha}, {beta}) at j = {tail}"
         )
-    report.update(
-        checked_j=j_cap + 1, tail_certified_at=tail, min_margin=min_margin
-    )
-    if min_margin <= tol:
+    report.update(checked_j=tail, tail_certified_at=tail, min_margin=min_margin)
+    if min_margin <= DEFAULT_TOL:
         raise UndecidableAtTolerance(
-            f"({alpha}, {beta}) is within {tol} of the boundary "
+            f"({alpha}, {beta}) is within {DEFAULT_TOL} of the boundary "
             f"(minimum margin {min_margin})"
         )
     report["holds"] = True
     return report
 
 
-def in_delta(
-    alpha: float,
-    beta: float,
-    *,
-    j_cap: int = DEFAULT_J_CAP,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def in_delta(alpha: float, beta: float) -> bool:
     """Strict membership below every curve e_j (finitely certified)."""
-    return delta_report(alpha, beta, j_cap=j_cap, tol=tol)["holds"]
+    return delta_report(alpha, beta)["holds"]
 
 
-def delta_boundary(
-    alpha: float, *, j_cap: int = DEFAULT_J_CAP
-) -> float:
+def delta_boundary(alpha: float) -> float:
     """Certified value of min over all j >= 0 of e_j(alpha)."""
     if not 0 < alpha < 0.5:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
     best = math.inf
-    for j in range(j_cap + 1):
+    for j in range(DEFAULT_J_CAP + 1):
         best = min(best, e_j(alpha, j))
         if _e_tail_floor(alpha, j) >= best:
             return best
     raise CertificationError(
-        f"minimum over e_j not certified for alpha={alpha} within j <= {j_cap}"
+        f"minimum over e_j not certified for alpha={alpha} within j <= {DEFAULT_J_CAP}"
     )
 
 
@@ -198,6 +185,8 @@ def condition_c1(n: int, k: int, l: int) -> bool:
 def condition_c2(n: int, k: int, l: int) -> bool:
     """Exact rational test (n-k) H[n-l, n-2] - (n-l) H[k, n-2] < 0."""
     _check_uniform_params(n, k, l)
+    if n > MAX_C2_N:
+        raise CapacityError(f"n = {n} exceeds the C2 cap {MAX_C2_N}")
     first = sum(Fraction(1, i) for i in range(n - l, n - 1))
     second = sum(Fraction(1, i) for i in range(k, n - 1))
     return (n - k) * first - (n - l) * second < 0
@@ -214,7 +203,7 @@ def in_delta_prime(alpha: float, beta: float) -> bool:
     )
 
 
-def delta_prime_boundary(alpha: float, *, tol: float = DEFAULT_TOL) -> float:
+def delta_prime_boundary(alpha: float) -> float:
     """Upper beta limit of the strengthened region at this alpha.
 
     The logarithmic condition is strictly increasing in beta, so its root
@@ -228,16 +217,8 @@ def delta_prime_boundary(alpha: float, *, tol: float = DEFAULT_TOL) -> float:
             1.0 / alpha
         )
 
-    lo, hi = tol, 1.0 - tol
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return min((lo + hi) / 2.0, 1.0 / (2.0 - alpha))
+    root = bisect(lambda b: gap(b) < 0, DEFAULT_TOL, 1.0 - DEFAULT_TOL)
+    return min(root, 1.0 / (2.0 - alpha))
 
 
 def cusp_constants() -> tuple[float, float]:
@@ -250,7 +231,7 @@ def cusp_constants() -> tuple[float, float]:
     return alpha, 2.0 * alpha
 
 
-def e_crossing(i: int, *, tol: float = 1e-13) -> tuple[float, float]:
+def e_crossing(i: int) -> tuple[float, float]:
     """Solve e_{i-2}(alpha) = e_{i-3}(alpha) for alpha in (0, 1/2).
 
     Returns (alpha, common curve value).  Defined for i >= 4; consecutive
@@ -272,45 +253,35 @@ def e_crossing(i: int, *, tol: float = 1e-13) -> tuple[float, float]:
         if prev_g == 0.0:
             return prev_a, e_j(prev_a, i - 2)
         if (prev_g < 0) != (g < 0):
-            lo, hi = prev_a, a
-            glo = prev_g
-            for _ in range(200):
-                if hi - lo <= tol:
-                    break
-                mid = (lo + hi) / 2.0
-                gm = gap(mid)
-                if (glo < 0) == (gm < 0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            alpha = (lo + hi) / 2.0
+            left_sign = prev_g < 0
+            alpha = bisect(lambda x: (gap(x) < 0) == left_sign, prev_a, a)
             return alpha, e_j(alpha, i - 2)
         prev_a, prev_g = a, g
     raise NotFoundError(f"no crossing of e_{i - 2} and e_{i - 3} in (0, 1/2)")
 
 
-def i0(alpha: float, i_max: int = DEFAULT_I_MAX) -> int:
+def i0(alpha: float) -> int:
     """Smallest index from which the single-prefix window stays controlled.
 
     Returns the least i >= 2 such that
 
         (1 + a^(i-2) (1-a)) log(1/(1 - e_{i-2}(a))) < log(1/a)
 
-    holds for every i' with i <= i' <= i_max.  The left side tends to
-    log(1/a) from below as i grows, so a finite scan settles it.
+    holds for every i' with i <= i' <= DEFAULT_I_MAX.  The left side tends
+    to log(1/a) from below as i grows, so a finite scan settles it.
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
     log_inv_alpha = math.log(1.0 / alpha)
     last_fail = None
-    for i in range(2, i_max + 1):
+    for i in range(2, DEFAULT_I_MAX + 1):
         j = i - 2
         lhs = -(1.0 + alpha**j * (1.0 - alpha)) * _log_one_minus_e(alpha, j)
         if lhs >= log_inv_alpha:
             last_fail = i
-    if last_fail == i_max:
+    if last_fail == DEFAULT_I_MAX:
         raise NotFoundError(
-            f"window condition still failing at i_max = {i_max} for alpha={alpha}"
+            f"window condition still failing at i = {DEFAULT_I_MAX} for alpha={alpha}"
         )
     return 2 if last_fail is None else last_fail + 1
 
@@ -460,25 +431,20 @@ def tail_bound(t: int, alpha: float, beta: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def delta_sample(
-    count: int = 50,
-    *,
-    j_cap: int = DEFAULT_J_CAP,
-    alpha_lo: float = 0.05,
-    alpha_hi: float = 0.45,
-) -> list[tuple[float, float]]:
+def delta_sample(count: int = 50) -> list[tuple[float, float]]:
     """Deterministic sample of points strictly inside the candidate region."""
+    alpha_lo, alpha_hi = 0.05, 0.45
     points: list[tuple[float, float]] = []
     slots = max(count // 2, 1)
     for idx in range(slots):
         alpha = alpha_lo + (alpha_hi - alpha_lo) * idx / max(slots - 1, 1)
-        hi = min(delta_boundary(alpha, j_cap=j_cap), 1.0 - alpha)
+        hi = min(delta_boundary(alpha), 1.0 - alpha)
         lo = 0.5
         if hi - lo < 0.004:
             continue
         for frac in (0.3, 0.7):
             beta = lo + (hi - lo) * frac
-            if in_delta(alpha, beta, j_cap=j_cap):
+            if in_delta(alpha, beta):
                 points.append((alpha, beta))
             if len(points) == count:
                 return points
@@ -490,12 +456,10 @@ def curve_samples(
     grid: int,
     *,
     alpha_range: tuple[float, float] = (0.01, 0.49),
-    j_list: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
-    j_cap: int = DEFAULT_J_CAP,
 ) -> tuple[list[str], list[tuple]]:
     """Tabulate figure data; returns (header, rows) with a stable row order.
 
-    which: "ej" for the labelled threshold curves, "delta" for the
+    which: "ej" for the labelled threshold curves e0 to e5, "delta" for the
     certified lower envelope, "delta-prime" for the strengthened boundary.
     """
     if grid < 2:
@@ -508,12 +472,12 @@ def curve_samples(
     alphas = [lo + (hi - lo) * idx / (grid - 1) for idx in range(grid)]
     if which == "ej":
         rows = [
-            (alpha, e_j(alpha, j), f"e{j}") for j in j_list for alpha in alphas
+            (alpha, e_j(alpha, j), f"e{j}") for j in range(6) for alpha in alphas
         ]
         return ["alpha", "value", "label"], rows
     if which == "delta":
         return ["alpha", "value"], [
-            (alpha, delta_boundary(alpha, j_cap=j_cap)) for alpha in alphas
+            (alpha, delta_boundary(alpha)) for alpha in alphas
         ]
     if which == "delta-prime":
         return ["alpha", "value"], [

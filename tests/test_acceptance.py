@@ -17,7 +17,7 @@ from crossint.cascade import (
     truncate_cascade,
 )
 from crossint.exactarith import binom, binom_ratio
-from crossint.families import colex_masks, measure_aj_exact, measure_bj_exact
+from crossint.families import colex_masks, measure_aj, measure_bj
 from crossint.oracle import (
     max_product_cascade,
     max_product_enumeration,
@@ -158,12 +158,12 @@ def test_criterion_06():
 @_criterion(7, "necessity of the region condition")
 def test_criterion_07():
     alpha, beta = Fraction(1, 5), Fraction(3, 5)
-    blocked = measure_aj_exact(alpha, 0) * measure_bj_exact(beta, 0)
+    blocked = measure_aj(alpha, 0) * measure_bj(beta, 0)
     assert blocked == Fraction(81, 625) > Fraction(3, 25) == alpha * beta
     assert not in_delta(0.2, 0.6)
-    report = delta_report(0.25, 0.55, j_cap=64)
+    report = delta_report(0.25, 0.55)
     assert report["holds"]
-    assert report["checked_j"] == 65  # every curve up to j_cap explicitly
+    assert report["checked_j"] == 65  # every curve up to DEFAULT_J_CAP explicitly
     assert report["tail_certified_at"] == 65
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from crossint.cli import main
+from crossint.exactarith import binom
 
 
 def run(capsys, *argv):
@@ -21,7 +22,7 @@ def test_mnkl_both_agree(capsys):
     report = json.loads(out)
     assert report["agree"]
     assert report["results"]["cascade"]["value"] == "6"
-    assert report["schema"] == "crossint-report/3"
+    assert report["schema"] == "crossint-report/4"
     assert "config" not in report
 
 
@@ -41,6 +42,31 @@ def test_mnkl_capacity_exit(capsys):
     code, _, err = run(capsys, "mnkl", "10", "5", "4", "--method", "enum")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mnkl", "20000", "10000", "5000"],
+        ["mnkl", "2000000", "1000000", "500000"],
+        ["mnkl", "20000", "10000", "5000", "--method", "enum"],
+    ],
+    ids=["sweep", "sweep-huge", "enum"],
+)
+def test_mnkl_budget_is_decided_without_the_binomial(capsys, monkeypatch, argv):
+    # C(n, k) has thousands of digits here; it must be neither printed nor built
+    import crossint.oracle as oracle
+
+    def refuse(n, k):
+        if n > 100:
+            raise AssertionError(f"C({n},{k}) evaluated")
+        return binom(n, k)
+
+    monkeypatch.setattr(oracle, "binom", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "cap" in err or "budget" in err
+    assert "digits" not in err
 
 
 def test_mnkl_usage_exit(capsys):
@@ -281,9 +307,10 @@ def test_result_past_digit_limit_is_a_capacity_exit(capsys, argv):
 
 
 def test_scan_all_out_of_reach(capsys):
+    # C(40, 10) = 847,660,528 first-family sizes, past the sweep budget
     code, out, err = run(
-        capsys, "scan", "--n-range", "7", "7", "--k-range", "2", "2",
-        "--l-range", "4", "4", "--sweep-budget", "1",
+        capsys, "scan", "--n-range", "40", "40", "--k-range", "10", "10",
+        "--l-range", "21", "21",
     )
     assert code == 3
     assert "capacity" in err
@@ -326,7 +353,8 @@ def test_family_options_belong_to_the_leaf_commands(capsys):
     assert out.splitlines()[0] == "4 2"
 
 
-# the options every command used to share, with a value each takes
+# the options commands used to take, with a value each; caps, tolerances
+# and budgets are module constants now, and no command takes any of these
 SHARED_OPTIONS = {
     "--tolerance": ["1e-9"],
     "--j-cap": ["5"],
@@ -334,11 +362,6 @@ SHARED_OPTIONS = {
     "--sweep-budget": ["100"],
     "--output": ["csv"],
     "--timing": [],
-}
-KEPT_OPTIONS = {
-    "mnkl": {"--sweep-budget", "--timing"},
-    "measure": {"--timing"},
-    "scan": {"--sweep-budget"},
 }
 LEAF_COMMANDS = {
     "mnkl": ["mnkl", "6", "2", "3"],
@@ -359,11 +382,10 @@ def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path, leaf, op
     one.write_text("3 1\n1\n")
     argv = [tok.format(one=one) for tok in LEAF_COMMANDS[leaf]]
     code, out, _ = run(capsys, *argv, option, *SHARED_OPTIONS[option])
-    if option in KEPT_OPTIONS.get(leaf, ()):
-        assert code == 0
-        assert json.JSONDecoder().raw_decode(out)[0]["command"] == leaf
-    else:
-        assert (code, out) == (2, "")
+    assert (code, out) == (2, "")
+    # the same command without the option is valid
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize(
@@ -379,6 +401,17 @@ def test_family_make_capacity_exit(capsys, kind_args):
     code, out, err = run(capsys, "family", "make", *kind_args)
     assert (code, out) == (3, "")
     assert "family cap" in err
+
+
+def test_family_cross_capacity_exit(tmp_path, capsys):
+    # 11,440 x 11,440 pairs exceed the cap of 10**8; no pair is compared
+    code, star_text, _ = run(capsys, "family", "make", "star", "--n", "17", "--k", "8")
+    assert code == 0
+    star = tmp_path / "star.txt"
+    star.write_text(star_text)
+    code, out, err = run(capsys, "family", "cross", str(star), str(star))
+    assert (code, out) == (3, "")
+    assert "11440 x 11440 member pairs exceed the cap" in err
 
 
 def test_family_cross_failure_exit(tmp_path, capsys):
@@ -417,13 +450,12 @@ def test_undecidable_point_exits_with_capacity_code(capsys):
     assert "within" in err
 
 
-def test_timing_flag_populates_elapsed(capsys):
-    code, out, _ = run(capsys, "mnkl", "8", "2", "3", "--timing")
-    assert code == 0
-    assert json.loads(out)["results"]["cascade"]["elapsed_ms"] > 0.0
+def test_reports_carry_no_wall_time(capsys):
+    mnkl = ["mnkl", "6", "2", "3", "--method", "both"]
     measure = ["measure", "3", "--alpha", "1/4", "--beta", "1/2"]
-    code, out, _ = run(capsys, *measure, "--timing")
-    assert code == 0
-    assert json.loads(out)["result"]["elapsed_ms"] > 0.0
-    code, out, _ = run(capsys, *measure)
-    assert json.loads(out)["result"]["elapsed_ms"] == 0.0
+    for argv in (mnkl, measure):
+        code, out, _ = run(capsys, *argv, "--timing")
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "elapsed" not in out

@@ -1,11 +1,21 @@
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import crossint
+from crossint import exactarith
 from crossint.errors import BracketingError
-from crossint.exactarith import binom, binom_ratio, gen_binom, solve_binom_x
+from crossint.exactarith import (
+    binom,
+    binom_exceeds,
+    binom_ratio,
+    bisect,
+    gen_binom,
+    solve_binom_x,
+)
 
 from support import pascal_binom
 
@@ -77,6 +87,69 @@ def test_solve_binom_x_requires_bracket():
         solve_binom_x(10**6, 3, 3, 10)
     with pytest.raises(ValueError):
         solve_binom_x(10, 0, 0, 10)
+
+
+def test_bisect_brackets_the_switch_point():
+    root = bisect(lambda x: x * x < 2.0, 0.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= exactarith.DEFAULT_TOL
+    # a predicate that never turns false drives the bracket to hi
+    assert bisect(lambda x: True, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bisect_stops_after_the_iteration_cap(monkeypatch):
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x < 0.3
+
+    monkeypatch.setattr(exactarith, "BISECT_MAX_ITER", 5)
+    root = bisect(below, 0.0, 1.0)
+    assert len(calls) == 5
+    assert abs(root - 0.3) <= 1.0 / 2**6
+
+
+def test_binom_exceeds_matches_the_binomial():
+    for n in range(0, 30):
+        for k in range(-1, n + 2):
+            value = binom(n, k)
+            for cap in (0, 1, value - 1, value, value + 1, 10**6):
+                if cap >= 0:
+                    assert binom_exceeds(n, k, cap) == (value > cap), (n, k, cap)
+
+
+def test_binom_exceeds_stops_early():
+    # C(2 * 10**6, 10**6) has about 600,000 digits; the answer comes at once
+    assert binom_exceeds(2 * 10**6, 10**6, 10**8)
+    assert not binom_exceeds(10**9, 1, 10**9)
+    assert binom_exceeds(10**9 + 1, 1, 10**9)
+
+
+TUNING_KWARGS = {
+    "tol", "j_cap", "i_max", "max_iter", "sweep_budget", "j_list", "alpha_lo",
+    "alpha_hi",
+}
+
+
+def test_public_api_has_no_tuning_kwargs():
+    # caps, tolerances and budgets are module constants, read when called
+    checked = 0
+    for name, obj in vars(crossint).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        targets = [obj]
+        if inspect.isclass(obj):
+            targets += [
+                member for attr, member in vars(obj).items()
+                if not attr.startswith("_") and inspect.isfunction(member)
+            ]
+        for target in targets:
+            params = set(inspect.signature(target).parameters)
+            assert not params & TUNING_KWARGS, (name, target, params & TUNING_KWARGS)
+            checked += 1
+    assert checked > 50
 
 
 def test_binom_ratio_exact():

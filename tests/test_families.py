@@ -23,9 +23,7 @@ from crossint.families import (
     mask_of,
     measure,
     measure_aj,
-    measure_aj_exact,
     measure_bj,
-    measure_bj_exact,
     shadow,
     star_uniform,
     to_text,
@@ -165,6 +163,17 @@ def test_ab_families_cross_intersect():
                     )
 
 
+def test_is_cross_intersecting_caps_the_pair_count(monkeypatch):
+    import crossint.families as families
+
+    star_a, star_b = star_uniform(5, 2, 1), star_uniform(5, 3, 1)  # 4 x 6 pairs
+    monkeypatch.setattr(families, "MAX_CROSS_PAIRS", 24)
+    assert is_cross_intersecting(star_a, star_b)
+    monkeypatch.setattr(families, "MAX_CROSS_PAIRS", 23)
+    with pytest.raises(CapacityError, match="4 x 6 member pairs exceed the cap 23"):
+        is_cross_intersecting(star_a, star_b)
+
+
 def test_is_cross_intersecting_basics():
     s1 = star_uniform(5, 2, 1)
     assert is_cross_intersecting(s1, star_uniform(5, 3, 1))
@@ -192,8 +201,8 @@ def test_measure_closed_forms_agree_exactly():
             fam_a = a_family_measure(n, j)
             fam_b = b_family_measure(n, j)
             for p in biases:
-                assert measure(fam_a, p) == measure_aj_exact(p, j)
-                assert measure(fam_b, p) == measure_bj_exact(p, j)
+                assert measure(fam_a, p) == measure_aj(p, j)
+                assert measure(fam_b, p) == measure_bj(p, j)
 
 
 def test_measure_closed_form_floats():

@@ -6,6 +6,7 @@ import pytest
 from crossint.errors import CapacityError
 from crossint.exactarith import binom
 from crossint.oracle import (
+    DEFAULT_SWEEP_BUDGET,
     ENUMERATION_CAP,
     _sweep,
     achieving_pair,
@@ -41,8 +42,12 @@ def test_cascade_trivial_regime():
 
 
 def test_cascade_budget():
+    # C(30, 15) = 155,117,520 sizes, past the budget of 10**8
+    assert binom(30, 15) > DEFAULT_SWEEP_BUDGET
+    with pytest.raises(CapacityError, match="budget"):
+        max_product_cascade(30, 15, 15)
     with pytest.raises(CapacityError):
-        max_product_cascade(30, 15, 15, sweep_budget=10_000)
+        uniqueness_check(30, 15, 14)
 
 
 def test_cascade_matches_definition_brute_force():
@@ -251,8 +256,6 @@ def test_result_serializes_to_json():
     round_trip = json.loads(payload)
     assert round_trip["value"] == str(res.value)
     assert round_trip["method"] == "cascade"
-    assert {"n", "k", "l", "value", "witnesses", "method", "elapsed_ms"} <= set(
-        round_trip
-    )
+    assert set(round_trip) == {"n", "k", "l", "value", "witnesses", "method"}
     res = measure_oracle(2, Fraction(1, 3), Fraction(2, 3))
     assert json.loads(json.dumps(res.to_dict()))["alpha"] == "1/3"

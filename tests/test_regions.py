@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from crossint.errors import CapacityError, CertificationError, UndecidableAtTolerance
+from crossint import regions
+from crossint.errors import (
+    CapacityError,
+    CertificationError,
+    NotFoundError,
+    UndecidableAtTolerance,
+)
 from crossint.exactarith import binom
 from crossint.families import (
     a_family_uniform,
@@ -128,13 +134,15 @@ def test_in_delta_boundary_is_undecidable():
         in_delta(alpha, beta - 1e-14)
 
 
-def test_in_delta_needs_enough_curves():
+def test_in_delta_needs_enough_curves(monkeypatch):
     # certifying the tail this close to 1 - alpha needs more than 5 curves
+    monkeypatch.setattr(regions, "DEFAULT_J_CAP", 3)
     with pytest.raises(CertificationError):
-        in_delta(0.499, 0.50062, j_cap=3)
-    assert in_delta(0.499, 0.50062, j_cap=64)
+        in_delta(0.499, 0.50062)
+    monkeypatch.setattr(regions, "DEFAULT_J_CAP", 64)
+    assert in_delta(0.499, 0.50062)
     # and a point between the envelope minimum and its late tail is rejected
-    assert not in_delta(0.499, 0.50085, j_cap=64)
+    assert not in_delta(0.499, 0.50085)
 
 
 def test_delta_boundary_values():
@@ -155,6 +163,19 @@ def test_condition_c1_c2_values():
     )
     assert harmonic < 0
     assert abs(float(harmonic) + 1.047) < 2e-3
+
+
+def test_condition_c2_caps_n():
+    n = regions.MAX_C2_N
+    k, l = n // 4, 3 * n // 5
+    # the same harmonic difference in floats; its margin is far from 0 here
+    approx = (n - k) * math.fsum(1 / i for i in range(n - l, n - 1)) - (
+        n - l
+    ) * math.fsum(1 / i for i in range(k, n - 1))
+    assert abs(approx) > 1.0
+    assert condition_c2(n, k, l) == (approx < 0)
+    with pytest.raises(CapacityError, match=f"C2 cap {n}"):
+        condition_c2(n + 1, k, l)
 
 
 @pytest.mark.parametrize("condition", [condition_c1, condition_c2])
@@ -208,14 +229,18 @@ def test_e_crossing_values():
         e_crossing(3)
 
 
-def test_i0_scan():
-    first = i0(0.25, 1000)
-    assert first == i0(0.25, 2000)
+def test_i0_scan(monkeypatch):
+    first = i0(0.25)
+    monkeypatch.setattr(regions, "DEFAULT_I_MAX", 2000)
+    assert first == i0(0.25)
     assert first >= 2
+    monkeypatch.setattr(regions, "DEFAULT_I_MAX", first - 1)
+    with pytest.raises(NotFoundError):
+        i0(0.25)
     with pytest.raises(ValueError):
-        i0(0.5, 100)
+        i0(0.5)
     with pytest.raises(ValueError):
-        i0(0.0, 100)
+        i0(0.0)
 
 
 def test_i0_condition_approaches_limit_from_below():
@@ -349,8 +374,6 @@ def test_curve_samples_boundaries():
 
 
 def test_curve_samples_cap_grid_before_building(monkeypatch):
-    import crossint.regions as regions
-
     monkeypatch.setattr(regions, "MAX_GRID", 10)
     assert len(curve_samples("delta", 10)[1]) == 10
     for which in ("ej", "delta", "delta-prime"):
