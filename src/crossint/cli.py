@@ -231,11 +231,14 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     emitted = 0
     reached = 0
-    for n in range(args.n_range[0], args.n_range[1] + 1):
-        for k in range(args.k_range[0], args.k_range[1] + 1):
-            for l in range(args.l_range[0], args.l_range[1] + 1):
-                if not regions.in_omega_prime(n, k, l):
-                    continue
+    (n_lo, n_hi), (k_lo, k_hi), (l_lo, l_hi) = args.n_range, args.k_range, args.l_range
+    # each loop stops at the bounds of Omega' (k >= 1, 2l > n, k + l < n),
+    # so only its instances are walked, in box order; (5, 1, 3) is the first
+    k_lo = max(k_lo, 1)
+    for n in range(max(n_lo, 5, k_lo + l_lo + 1), min(n_hi, 2 * l_hi - 1) + 1):
+        l_first = max(l_lo, n // 2 + 1)
+        for k in range(k_lo, min(k_hi, n - 1 - l_first) + 1):
+            for l in range(l_first, min(l_hi, n - 1 - k) + 1):
                 report = oracle.conjecture_scan(n, k, l)
                 if report["label"] != "out-of-reach":
                     reached += 1

@@ -19,17 +19,24 @@ an up-closed family exactly when the complement of B is not a member.
 The objective collapses to mu_alpha(A) * (1 - mu_{1-beta}(A)), maximized
 by depth-first extension over subset masks in descending numeric order
 (supersets are decided before subsets) with an exact integer
-branch-and-bound cut.  Arithmetic is integer throughout: measures are
-carried as numerators over the fixed denominators q^n and s^n.
+branch-and-bound cut.  The family is one int of 2^n bits, bit m set when
+mask m is a member; it is passed down the recursion and reported as is.
+A mask may join only when its one-element supersets all have, which is
+one AND against a table of those supersets as family bits.  Arithmetic is
+integer throughout: measures are carried as numerators over the fixed
+denominators q^n and s^n.
 
 k + l > n makes every pair of a k-set and an l-set intersect, so both
-oracles short-circuit to C(n,k) * C(n,l) there.
+oracles short-circuit to C(n,k) * C(n,l) there, refusing layers too
+large to print before they are multiplied.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound
@@ -67,6 +74,23 @@ class OracleResult:
         out["witnesses"] = self.witnesses
         out["method"] = self.method
         return out
+
+
+def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
+    """C(n,k), C(n,l) and their product, the optimum when k + l > n.
+
+    A layer past Python's int-to-str digit limit could never be printed,
+    so it is refused before either binomial is built.
+    """
+    digits = sys.get_int_max_str_digits()
+    if digits and (
+        binom_exceeds(n, k, 10**digits) or binom_exceeds(n, l, 10**digits)
+    ):
+        raise CapacityError(
+            f"C({n},{k}) * C({n},{l}) has a factor past the {digits}-digit limit"
+        )
+    size_a, size_b = binom(n, k), binom(n, l)
+    return size_a, size_b, size_a * size_b
 
 
 def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
@@ -111,12 +135,9 @@ def max_product_cascade(n: int, k: int, l: int) -> OracleResult:
     _check_uniform_params(n, k, l)
     params = {"n": n, "k": k, "l": l}
     if k + l > n:
-        value = binom(n, k) * binom(n, l)
+        size_a, size_b, value = _full_layers(n, k, l)
         return OracleResult(
-            value,
-            [{"a_size": binom(n, k), "b_size": binom(n, l)}],
-            "cascade",
-            params,
+            value, [{"a_size": size_a, "b_size": size_b}], "cascade", params
         )
     if binom_exceeds(n, k, DEFAULT_SWEEP_BUDGET):
         raise CapacityError(
@@ -154,9 +175,10 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     _check_uniform_params(n, k, l)
     params = {"n": n, "k": k, "l": l}
     if k + l > n:
+        size_a, _, value = _full_layers(n, k, l)
         return OracleResult(
-            binom(n, k) * binom(n, l),
-            {"optimal_count": 1, "optimal_sizes": [binom(n, k)], "all_stars": False},
+            value,
+            {"optimal_count": 1, "optimal_sizes": [size_a], "all_stars": False},
             "enumeration",
             params,
         )
@@ -214,15 +236,15 @@ def uniqueness_check(n: int, k: int, l: int) -> dict:
     """
     sweep = max_product_cascade(n, k, l)
     report: dict[str, Any] = {"n": n, "k": k, "l": l, "value": exact_text(sweep.value)}
+    sizes = [w["a_size"] for w in sweep.witnesses]
     if k + l > n:
         report.update(
-            maximizing_sizes=[binom(n, k)],
+            maximizing_sizes=sizes,
             unique_size=True,
             star_forced=False,
             note="full layers are optimal; stars are not",
         )
         return report
-    sizes = [w["a_size"] for w in sweep.witnesses]
     star_size = binom(n - 1, k - 1)
     unique = sizes == [star_size]
     report.update(
@@ -244,8 +266,9 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
 
     Searches up-closed first families only (lossless; see module notes) by
     depth-first extension over subset masks in descending order, keeping
-    exact integer numerators.  Witnesses are reported as the antichains of
-    minimal members of each optimal pair.
+    each family as one int and its measures as exact integer numerators.
+    Witnesses are reported as the antichains of minimal members of each
+    optimal pair.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not (0 < alpha < 1 and 0 < beta < 1):
@@ -259,53 +282,44 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     p, q = alpha.numerator, alpha.denominator
     r, s = beta.numerator, beta.denominator
     size = 1 << n
-    weight_a = [0] * size
-    weight_b = [0] * size  # numerators of mu_{1-beta}
-    for mask in range(size):
-        c = mask.bit_count()
-        weight_a[mask] = p**c * (q - p) ** (n - c)
-        weight_b[mask] = (s - r) ** c * r ** (n - c)
+    counts = [mask.bit_count() for mask in range(size)]
+    # numerators of mu_alpha and of mu_{1-beta}
+    weight_a = [p**c * (q - p) ** (n - c) for c in counts]
+    weight_b = [(s - r) ** c * r ** (n - c) for c in counts]
     total_b = s**n
-    masks = list(range(size - 1, -1, -1))
-    suffix_a = [0] * (size + 1)
-    for idx in range(size - 1, -1, -1):
-        suffix_a[idx] = suffix_a[idx + 1] + weight_a[masks[idx]]
+    # open_a[m]: the most the still undecided masks m, m-1, ..., 0 can add
+    open_a = list(accumulate(weight_a))
+    # up[m]: the one-element supersets of m, as family bits
+    up = [
+        sum(1 << (mask | 1 << e) for e in range(n) if not mask >> e & 1)
+        for mask in range(size)
+    ]
     # the stars achieve alpha * beta, which seeds the branch-and-bound cut
     best = p * q ** (n - 1) * r * s ** (n - 1)
     winners: list[int] = []
     truncated = False
-    included = bytearray(size)
 
-    def search(idx: int, num_a: int, num_b: int) -> None:
+    def search(mask: int, fam: int, num_a: int, num_b: int) -> None:
         nonlocal best, winners, truncated
-        if idx == size:
+        if mask < 0:
             value = num_a * (total_b - num_b)
             if value > best:
-                best = value
-                winners = [_family_bits(included)]
-                truncated = False
+                best, winners, truncated = value, [fam], False
             elif value == best:
                 if len(winners) < WITNESS_CAP:
-                    winners.append(_family_bits(included))
+                    winners.append(fam)
                 else:
                     truncated = True
             return
-        if (num_a + suffix_a[idx]) * (total_b - num_b) < best:
+        if (num_a + open_a[mask]) * (total_b - num_b) < best:
             return
-        mask = masks[idx]
-        can_include = True
-        for e in range(n):
-            bit = 1 << e
-            if not mask & bit and not included[mask | bit]:
-                can_include = False
-                break
-        if can_include:
-            included[mask] = 1
-            search(idx + 1, num_a + weight_a[mask], num_b + weight_b[mask])
-            included[mask] = 0
-        search(idx + 1, num_a, num_b)
+        if fam & up[mask] == up[mask]:
+            search(
+                mask - 1, fam | 1 << mask, num_a + weight_a[mask], num_b + weight_b[mask]
+            )
+        search(mask - 1, fam, num_a, num_b)
 
-    search(0, 0, 0)
+    search(size - 1, 0, 0, 0)
     value = Fraction(best, q**n * total_b)
     witnesses = {
         "optimal_count": len(winners) if not truncated else f">{WITNESS_CAP}",
@@ -316,39 +330,20 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     )
 
 
-def _family_bits(included: bytearray) -> int:
-    bits = 0
-    for mask, flag in enumerate(included):
-        if flag:
-            bits |= 1 << mask
-    return bits
-
-
 def _minimal_members(bits: int, n: int) -> list[tuple[int, ...]]:
-    members = [mask for mask in range(1 << n) if bits >> mask & 1]
-    member_set = set(members)
-    minimal = []
-    for mask in members:
-        rest = mask
-        is_min = True
-        while rest:
-            bit = rest & -rest
-            if mask ^ bit in member_set:
-                is_min = False
-                break
-            rest ^= bit
-        if is_min:
-            minimal.append(mask)
-    return [elements_of(m) for m in sorted(minimal)]
+    """Members of the up-closed family `bits` that no one-element removal keeps."""
+    return [
+        elements_of(mask)
+        for mask in range(1 << n)
+        if bits >> mask & 1
+        and not any(bits >> (mask ^ 1 << e) & 1 for e in range(n) if mask >> e & 1)
+    ]
 
 
 def _witness_pair(bits: int, n: int) -> dict:
     """Antichains generating an optimal up-closed pair."""
     full = (1 << n) - 1
-    b_bits = 0
-    for mask in range(1 << n):
-        if not bits >> (full ^ mask) & 1:
-            b_bits |= 1 << mask
+    b_bits = sum(1 << mask for mask in range(1 << n) if not bits >> (full ^ mask) & 1)
     return {
         "a_min": _minimal_members(bits, n),
         "b_min": _minimal_members(b_bits, n),

@@ -8,6 +8,7 @@ size from that size's own cascade form, independently of the incremental
 bound kept by the production sweep.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -99,6 +100,57 @@ def brute_measure_product(n, alpha, beta):
         fam_b = [t for t in subsets if all(t & s for s in fam_a)]
         best = max(best, mu(fam_a, alpha) * mu(fam_b, beta))
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def up_closed_families(n):
+    """Every up-closed family on [n], as frozensets of masks (n <= 4).
+
+    Filters all 2^(2^n) families of subsets for closure under adding one
+    element.
+    """
+    size = 1 << n
+    found = []
+    for bits in range(1 << size):
+        fam = frozenset(m for m in range(size) if bits >> m & 1)
+        if all(m | 1 << e in fam for m in fam for e in range(n)):
+            found.append(fam)
+    return found
+
+
+def reference_measure_optima(n, alpha, beta):
+    """The measure maximum over up-closed families, with every optimal pair.
+
+    Each up-closed A is paired with its largest compatible partner, the
+    sets whose complement is not in A.  Returns the maximum value and the
+    set of optimal pairs, each as the minimal members of A and of B, by the
+    definition: members with no other member inside them.  A member is a
+    frozenset of elements 1..n.
+    """
+    full = (1 << n) - 1
+
+    def mu(fam, p):
+        return sum(
+            p ** bin(m).count("1") * (1 - p) ** (n - bin(m).count("1")) for m in fam
+        )
+
+    def minimal(fam):
+        return frozenset(
+            frozenset(e + 1 for e in range(n) if m >> e & 1)
+            for m in fam
+            if not any(t != m and t & m == t for t in fam)
+        )
+
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    best, optima = None, []
+    for fam_a in up_closed_families(n):
+        fam_b = frozenset(t for t in range(full + 1) if full ^ t not in fam_a)
+        value = mu(fam_a, alpha) * mu(fam_b, beta)
+        if best is None or value > best:
+            best, optima = value, [(fam_a, fam_b)]
+        elif value == best:
+            optima.append((fam_a, fam_b))
+    return best, {(minimal(a), minimal(b)) for a, b in optima}
 
 
 def reference_sweep(n, k, l):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,24 @@ def test_mnkl_capacity_exit(capsys):
 )
 def test_mnkl_budget_is_decided_without_the_binomial(capsys, monkeypatch, argv):
     # C(n, k) has thousands of digits here; it must be neither printed nor built
+    _refuse_large_binomials(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "cap" in err or "budget" in err
+    assert "digits" not in err
+
+
+@pytest.mark.parametrize("method", ["cascade", "enum"])
+def test_mnkl_full_layers_past_the_digit_limit_are_refused(capsys, monkeypatch, method):
+    # k + l > n: C(2000000, 1000000) has about 600,000 digits
+    _refuse_large_binomials(monkeypatch)
+    argv = ["mnkl", "2000000", "1000000", "1000001", "--method", method]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
+def _refuse_large_binomials(monkeypatch):
     import crossint.oracle as oracle
 
     def refuse(n, k):
@@ -63,10 +82,6 @@ def test_mnkl_budget_is_decided_without_the_binomial(capsys, monkeypatch, argv):
         return binom(n, k)
 
     monkeypatch.setattr(oracle, "binom", refuse)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert "cap" in err or "budget" in err
-    assert "digits" not in err
 
 
 def test_mnkl_usage_exit(capsys):
@@ -207,6 +222,33 @@ def test_measure_command(capsys):
     assert json.loads(out)["result"]["value"] == "1/4"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("star", ["4", "--alpha", "1/4", "--beta", "11/20"]),
+        ("nonstar", ["4", "--alpha", "1/5", "--beta", "3/5"]),
+        ("n1", ["1", "--alpha", "1/2", "--beta", "1/2"]),
+    ],
+)
+def test_measure_stdout_is_pinned(capsys, name, argv):
+    # byte for byte, so the witness pairs' content and order are pinned too
+    code, out, _ = run(capsys, "measure", *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"measure_{name}.json").read_text()
+
+
+def test_truncated_measure_stdout_is_pinned(capsys):
+    # more than WITNESS_CAP optima tie: which 64 pairs are kept is pinned
+    code, out, _ = run(capsys, "measure", "5", "--alpha", "7/16", "--beta", "3/5")
+    assert code == 0
+    assert json.loads(out)["result"]["witnesses"]["optimal_count"] == ">64"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "847fcd0ee6b1fed2378f65aae7c464a0b37768c1f59216ba69f7f3901b4021bf"
+
+
 @pytest.mark.parametrize("alpha", ["1/0", "x", "1/2/3"])
 def test_measure_bad_fraction_is_a_usage_error(capsys, alpha):
     code, out, err = run(capsys, "measure", "4", "--alpha", alpha, "--beta", "1/2")
@@ -279,6 +321,44 @@ def test_scan_empty_range(capsys):
     )
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "box, instances",
+    [
+        (
+            ["10", "10", "1", "1000000000000", "6", "6"],
+            [(10, 1, 6), (10, 2, 6), (10, 3, 6)],
+        ),
+        (
+            ["1", "1000000000000", "1", "1", "6", "6"],
+            [(8, 1, 6), (9, 1, 6), (10, 1, 6), (11, 1, 6)],
+        ),
+    ],
+    ids=["huge-k", "huge-n"],
+)
+def test_scan_walks_only_omega_prime(capsys, box, instances):
+    # these boxes hold about 10^12 points but only a few instances of Omega'
+    # (k >= 1, 2l > n, k + l < n); walking every point would never finish
+    argv = ["scan", "--n-range", *box[:2], "--k-range", *box[2:4]]
+    argv += ["--l-range", *box[4:]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "crossint.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert [(r["n"], r["k"], r["l"]) for r in map(json.loads, lines)] == instances
+    for line, (n, k, l) in zip(lines, instances):
+        code, out, _ = run(
+            capsys, "scan", "--n-range", str(n), str(n), "--k-range", str(k), str(k),
+            "--l-range", str(l), str(l),
+        )
+        assert (code, out) == (0, line + "\n")
 
 
 def test_scan_j_max_is_not_an_option(capsys):

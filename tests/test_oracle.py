@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from crossint.exactarith import binom
 from crossint.oracle import (
     DEFAULT_SWEEP_BUDGET,
     ENUMERATION_CAP,
+    WITNESS_CAP,
     _sweep,
     achieving_pair,
     conjecture_scan,
@@ -18,7 +20,12 @@ from crossint.oracle import (
 )
 from crossint.regions import in_omega_prime
 
-from support import brute_max_product, brute_measure_product, reference_sweep
+from support import (
+    brute_max_product,
+    brute_measure_product,
+    reference_measure_optima,
+    reference_sweep,
+)
 
 
 def test_cascade_small_examples():
@@ -179,6 +186,49 @@ def test_measure_oracle_matches_definition():
             assert measure_oracle(n, alpha, beta).value == brute_measure_product(
                 n, alpha, beta
             )
+
+
+MEASURE_GRID = [
+    Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+    Fraction(3, 5), Fraction(11, 20), Fraction(3, 4),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_oracle_matches_the_up_set_reference(n):
+    # value, optimal_count and the pairs, against every up-closed family
+    for alpha in MEASURE_GRID:
+        for beta in MEASURE_GRID:
+            res = measure_oracle(n, alpha, beta)
+            value, optima = reference_measure_optima(n, alpha, beta)
+            assert res.value == value
+            pairs = {
+                tuple(frozenset(map(frozenset, p[key])) for key in ("a_min", "b_min"))
+                for p in res.witnesses["pairs"]
+            }
+            assert len(pairs) == len(res.witnesses["pairs"])
+            if len(optima) <= WITNESS_CAP:
+                assert res.witnesses["optimal_count"] == len(optima)
+                assert pairs == optima
+            else:
+                assert res.witnesses["optimal_count"] == f">{WITNESS_CAP}"
+                assert len(pairs) == WITNESS_CAP and pairs < optima
+
+
+def test_full_layers_are_refused_only_past_the_digit_limit(monkeypatch):
+    # k + l > n; C(20000, 10000) has 6019 digits, past the default 4300
+    n, k, l = 20000, 10000, 10001
+    with pytest.raises(CapacityError, match="digit limit"):
+        max_product_cascade(n, k, l)
+    with pytest.raises(CapacityError, match="digit limit"):
+        max_product_enumeration(n, k, l)
+    # a limit of 0 means no limit, so nothing is refused
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    res = max_product_cascade(n, k, l)
+    assert res.value == binom(n, k) * binom(n, l)
+    assert res.witnesses == [{"a_size": binom(n, k), "b_size": binom(n, l)}]
+    sizes = max_product_enumeration(n, k, l).witnesses["optimal_sizes"]
+    assert sizes == [binom(n, k)]
 
 
 def test_measure_oracle_star_witnesses():
