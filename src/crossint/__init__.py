@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .regions import (
     ProductBound,
-    RegionPoint,
     boundary_condition,
     condition_c1,
     condition_c2,

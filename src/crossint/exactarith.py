@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import BracketingError, CapacityError
 
-#: Comparison tolerance for all floating-point region predicates.
+#: Relative tolerance of the region near-boundary rule; `bisect`'s bracket width.
 DEFAULT_TOL = 1e-12
 
 #: Iteration cap for `bisect`, the one root finder of the package.

@@ -134,6 +134,8 @@ def colex_segment(m: int, u: int, n: int) -> UniformFamily:
     _check_ground(n)
     if not 0 <= u <= n:
         raise ValueError(f"need 0 <= u <= n, got u={u}")
+    if m < 0:
+        raise ValueError(f"need m >= 0 sets, got m={m}")
     if m > binom(n, u):
         raise CapacityError(f"requested {m} sets but C({n},{u}) = {binom(n, u)}")
     _check_members(m)

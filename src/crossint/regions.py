@@ -17,6 +17,11 @@ strengthened region Delta' defined by (2-a) b < 1 together with
 (1-a) log(1/(1-b)) < (1-b) log(1/a) live here too, as do the window
 product bounds used to compare size products against the star product
 over ranges of first-family sizes.
+
+Every verdict on computed floats goes through one near-boundary rule,
+`_below`: lhs < rhs is decided only when |lhs - rhs| > DEFAULT_TOL *
+max(|lhs|, |rhs|), and raises UndecidableAtTolerance otherwise.  Raw
+inputs compare exactly; curve values are computed without the band.
 """
 
 from __future__ import annotations
@@ -44,24 +49,18 @@ MAX_GRID = 10**5
 MAX_C2_N = 10**4
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    """A parameter pair (alpha, beta) in the open unit square."""
+def _below(lhs: float, rhs: float, what: str | None) -> bool | None:
+    """lhs < rhs under the near-boundary rule.
 
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0 < self.alpha < 1 and 0 < self.beta < 1):
-            raise ValueError(f"point ({self.alpha}, {self.beta}) outside (0,1)^2")
-
-    @property
-    def alpha_bar(self) -> float:
-        return 1.0 - self.alpha
-
-    @property
-    def beta_bar(self) -> float:
-        return 1.0 - self.beta
+    Inside the band it raises UndecidableAtTolerance naming `what`, or
+    returns None when `what` is None.
+    """
+    if abs(lhs - rhs) > DEFAULT_TOL * max(abs(lhs), abs(rhs)):
+        return lhs < rhs
+    if what is None:
+        return None
+    message = f"{what}: {lhs!r} vs {rhs!r}, within relative {DEFAULT_TOL}"
+    raise UndecidableAtTolerance(message)
 
 
 def in_omega(alpha: float, beta: float) -> bool:
@@ -98,15 +97,14 @@ def boundary_condition(alpha: float, beta: float, j: int) -> bool:
     """Strict inequality (1 + (1-a) a^j)(1 - (1-b)^(j+1)) < 1.
 
     Equivalent to the j-th blocking measure product lying below alpha*beta,
-    and to beta < e_j(alpha).  Points within DEFAULT_TOL of the boundary
-    count as failing, matching the strict reading.
+    and to beta < e_j(alpha).
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"point ({alpha}, {beta}) outside (0,1)^2")
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     product = (1.0 + (1.0 - alpha) * alpha**j) * (1.0 - (1.0 - beta) ** (j + 1))
-    return product < 1.0 - DEFAULT_TOL
+    return _below(product, 1.0, f"boundary condition j = {j} at ({alpha}, {beta})")
 
 
 def delta_report(alpha: float, beta: float) -> dict:
@@ -115,7 +113,8 @@ def delta_report(alpha: float, beta: float) -> dict:
     Every curve up to DEFAULT_J_CAP is checked explicitly; the infinite
     tail is then certified at the first uncovered index through the
     increasing lower bound on e_j, or the call aborts if even that bound
-    cannot clear beta there.  Margins within DEFAULT_TOL are undecidable.
+    cannot clear beta there.  A curve too close to beta leaves the point
+    undecidable unless a later curve is clearly violated.
     """
     report = {
         "alpha": alpha,
@@ -130,21 +129,24 @@ def delta_report(alpha: float, beta: float) -> dict:
     if not report["in_omega"]:
         return report
     min_margin = math.inf
+    undecided = False
     for j in range(DEFAULT_J_CAP + 1):
-        margin = e_j(alpha, j) - beta
-        if margin <= -DEFAULT_TOL:
-            report.update(checked_j=j + 1, violating_j=j, min_margin=margin)
+        curve = e_j(alpha, j)
+        below = _below(beta, curve, None)
+        if below is False:
+            report.update(checked_j=j + 1, violating_j=j, min_margin=curve - beta)
             return report
-        min_margin = min(min_margin, margin)
+        undecided = undecided or below is None
+        min_margin = min(min_margin, curve - beta)
     tail = DEFAULT_J_CAP + 1
-    if _e_tail_floor(alpha, tail) < beta + DEFAULT_TOL:
+    if _below(beta, _e_tail_floor(alpha, tail), None) is not True:
         raise CertificationError(
             f"tail not certified for ({alpha}, {beta}) at j = {tail}"
         )
     report.update(checked_j=tail, tail_certified_at=tail, min_margin=min_margin)
-    if min_margin <= DEFAULT_TOL:
+    if undecided:
         raise UndecidableAtTolerance(
-            f"({alpha}, {beta}) is within {DEFAULT_TOL} of the boundary "
+            f"({alpha}, {beta}) is within the near-boundary band of a curve e_j "
             f"(minimum margin {min_margin})"
         )
     report["holds"] = True
@@ -192,15 +194,19 @@ def condition_c2(n: int, k: int, l: int) -> bool:
     return (n - k) * first - (n - l) * second < 0
 
 
+def _delta_prime_log_sides(alpha: float, beta: float) -> tuple[float, float]:
+    """Both sides of the Delta' log test (1-a) log(1/(1-b)) < (1-b) log(1/a)."""
+    la, lb = math.log(1.0 / alpha), math.log(1.0 / (1.0 - beta))
+    return (1.0 - alpha) * lb, (1.0 - beta) * la
+
+
 def in_delta_prime(alpha: float, beta: float) -> bool:
     """Strengthened region: (2-a) b < 1 and (1-a) log(1/(1-b)) < (1-b) log(1/a)."""
     if not in_omega(alpha, beta):
         return False
-    if (2.0 - alpha) * beta >= 1.0:
-        return False
-    return (1.0 - alpha) * math.log(1.0 / (1.0 - beta)) < (1.0 - beta) * math.log(
-        1.0 / alpha
-    )
+    what = f"Delta' at ({alpha}, {beta})"
+    linear = _below((2.0 - alpha) * beta, 1.0, what)
+    return linear and _below(*_delta_prime_log_sides(alpha, beta), what)
 
 
 def delta_prime_boundary(alpha: float) -> float:
@@ -212,12 +218,11 @@ def delta_prime_boundary(alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
 
-    def gap(b: float) -> float:
-        return (1.0 - alpha) * math.log(1.0 / (1.0 - b)) - (1.0 - b) * math.log(
-            1.0 / alpha
-        )
+    def below(b: float) -> bool:
+        lhs, rhs = _delta_prime_log_sides(alpha, b)
+        return lhs < rhs
 
-    root = bisect(lambda b: gap(b) < 0, DEFAULT_TOL, 1.0 - DEFAULT_TOL)
+    root = bisect(below, DEFAULT_TOL, 1.0 - DEFAULT_TOL)
     return min(root, 1.0 / (2.0 - alpha))
 
 
@@ -272,13 +277,13 @@ def i0(alpha: float) -> int:
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
-    log_inv_alpha = math.log(1.0 / alpha)
+    log_inv_alpha = -math.log(alpha)
+    what = f"window condition of i0 at alpha = {alpha}"
     last_fail = None
-    for i in range(2, DEFAULT_I_MAX + 1):
-        j = i - 2
+    for j in range(DEFAULT_I_MAX - 1):
         lhs = -(1.0 + alpha**j * (1.0 - alpha)) * _log_one_minus_e(alpha, j)
-        if lhs >= log_inv_alpha:
-            last_fail = i
+        if not _below(lhs, log_inv_alpha, what):
+            last_fail = j + 2
     if last_fail == DEFAULT_I_MAX:
         raise NotFoundError(
             f"window condition still failing at i = {DEFAULT_I_MAX} for alpha={alpha}"
@@ -385,8 +390,11 @@ def product_bound_condition(
 ) -> bool:
     """Asymptotic sufficient condition for the window bound to stay below its cap.
 
-    One logarithmic inequality per kind; when it holds, the window product
-    never exceeds max(XY, value at the right endpoint) for large n.
+    When it holds, the window product never exceeds max(XY, value at the
+    right endpoint) for large n.  With t = 1, 2, 3 prefix terms for kinds
+    C, A, B, e = 0 for C, la = log(1/a) and lb = log(1/(1-b)), it reads
+    (1 - (1-b)^(i-1) (1 + b + ... + b^(t-2))) lb (1-a)^t a^(i-t+e) <
+    (1 + a^(i-2) ((1-a) + ... + (1-a)^(t-1))) la a b^(t-1) (1-b)^(i-t+e).
     """
     if kind not in _KIND_PREFIX_TERMS:
         raise ValueError(f"kind must be one of A, B, C; got {kind!r}")
@@ -394,28 +402,18 @@ def product_bound_condition(
         raise ValueError(f"need i >= 2, got {i}")
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"point ({alpha}, {beta}) outside (0,1)^2")
-    ab = 1.0 - alpha
-    bb = 1.0 - beta
-    la = math.log(1.0 / alpha)
-    lb = math.log(1.0 / bb)
-    if kind == "C":
-        return (1.0 / bb ** (i - 1)) * lb < (1.0 / (alpha ** (i - 2) * ab)) * la
-    if epsilon is None:
-        raise ValueError(f"kind {kind} needs an epsilon offset")
-    e = epsilon
-    if kind == "A":
-        lhs = (1.0 - bb ** (i - 1)) / (beta * bb ** (i - 2 + e)) * lb
-        rhs = (1.0 + alpha ** (i - 2) * ab) / (alpha ** (i - 3 + e) * ab**2) * la
-        return lhs <= rhs
-    lhs = (1.0 - bb ** (i - 1) - beta * bb ** (i - 1)) / (
-        beta**2 * bb ** (i - 3 + e)
-    ) * lb
-    rhs = (
-        (1.0 + ab * alpha ** (i - 2) + ab**2 * alpha ** (i - 2))
-        / (ab**3 * alpha ** (i - 4 + e))
-        * la
-    )
-    return lhs <= rhs
+    t = _KIND_PREFIX_TERMS[kind]
+    if t > 1 and (epsilon is None or epsilon < t - 2):
+        raise ValueError(f"kind {kind} needs an epsilon offset >= {t - 2}")
+    e = epsilon if t > 1 else 0
+    ab, bb = 1.0 - alpha, 1.0 - beta
+    la, lb = -math.log(alpha), -math.log1p(-beta)
+    # the first factor as 1 - (1-b)^(i-2) + (1-b)^(i-2) b^(t-1): no cancellation
+    first = -math.expm1(-(i - 2) * lb) + bb ** (i - 2) * beta ** (t - 1)
+    lhs = first * lb * ab**t * alpha ** (i - t + e)
+    growth = 1.0 + alpha ** (i - 2) * sum(ab**s for s in range(1, t))
+    rhs = growth * la * alpha * beta ** (t - 1) * bb ** (i - t + e)
+    return _below(lhs, rhs, f"window bound {kind}({i}, {e}) at ({alpha}, {beta})")
 
 
 def tail_bound(t: int, alpha: float, beta: float) -> bool:
@@ -423,7 +421,7 @@ def tail_bound(t: int, alpha: float, beta: float) -> bool:
     if t < 4:
         raise ValueError(f"need t >= 4, got {t}")
     gamma = sum((1.0 - alpha) ** p for p in range(t + 1))
-    return gamma * beta ** (t - 1) < 1.0
+    return _below(gamma * beta ** (t - 1), 1.0, f"tail bound {t} at ({alpha}, {beta})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ no cascade arithmetic, no shadow formulas, no closed forms.  Tests freeze
 expected values from these, then check the fast paths against them.  The
 one exception is reference_sweep, which takes the shadow bound of each
 size from that size's own cascade form, independently of the incremental
-bound kept by the production sweep.
+bound kept by the production sweep.  The region references at the end
+evaluate each side of a predicate's comparison at 50 digits instead of in
+doubles.
 """
 
+import decimal
 import functools
 import itertools
 import math
@@ -171,3 +174,137 @@ def reference_sweep(n, k, l):
         elif val == best:
             wits.append(m)
     return best, wits
+
+
+# ---------------------------------------------------------------------------
+# Region predicates at 50 digits
+# ---------------------------------------------------------------------------
+#
+# Each function returns both sides of one comparison a region predicate
+# makes, evaluated from the exact float inputs: Fractions for the
+# polynomial tests, decimal's ln and exp at REFERENCE_DIGITS digits for the
+# log ones.  The sides are the ones the float code compares, so the
+# relative gap between them says how far a point lies from that boundary.
+
+REFERENCE_DIGITS = 50
+
+
+def _digits():
+    ctx = decimal.Context(prec=REFERENCE_DIGITS)
+    return decimal.localcontext(ctx)
+
+
+def _dec(x):
+    if isinstance(x, Fraction):
+        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+    return +decimal.Decimal(x)
+
+
+def relative_gap(lhs, rhs):
+    """|lhs - rhs| / max(|lhs|, |rhs|), the distance the near-boundary rule reads."""
+    with _digits():
+        lhs, rhs = _dec(lhs), _dec(rhs)
+        larger = max(abs(lhs), abs(rhs))
+        return abs(lhs - rhs) / larger if larger else decimal.Decimal(0)
+
+
+def reference_boundary_sides(alpha, beta, j):
+    """(1 + (1-a) a^j)(1 - (1-b)^(j+1)) against 1, exactly."""
+    a, b = Fraction(alpha), Fraction(beta)
+    return (1 + (1 - a) * a**j) * (1 - (1 - b) ** (j + 1)), Fraction(1)
+
+
+def reference_e(alpha, j):
+    """e_j(a) = 1 - (a^j (1-a) / (1 + a^j (1-a)))^(1/(j+1))."""
+    with _digits():
+        a = decimal.Decimal(alpha)
+        t = a**j * (1 - a)
+        return 1 - ((t.ln() - (1 + t).ln()) / (j + 1)).exp()
+
+
+def reference_e_tail_floor(alpha, j):
+    """The lower bound 1 - (a^j (1-a))^(1/(j+1)) on e_j."""
+    with _digits():
+        a = decimal.Decimal(alpha)
+        return 1 - ((a**j * (1 - a)).ln() / (j + 1)).exp()
+
+
+def reference_delta_prime_sides(alpha, beta):
+    """The linear test (2-a) b < 1, then the log test of Delta'."""
+    a, b = Fraction(alpha), Fraction(beta)
+    with _digits():
+        da, db = decimal.Decimal(alpha), decimal.Decimal(beta)
+        log_test = ((1 - da) * -(1 - db).ln(), (1 - db) * -da.ln())
+    return [((2 - a) * b, Fraction(1)), log_test]
+
+
+def reference_window_sides(alpha, beta, i, epsilon, kind):
+    """The window-product inequality of one kind, each side multiplied out.
+
+    The kinds compare, for C, A and B,
+        (1-b)^-(i-1) lb  against  la / (a^(i-2) (1-a)),
+        (1 - (1-b)^(i-1)) lb / (b (1-b)^(i-2+e))
+            against  (1 + a^(i-2) (1-a)) la / (a^(i-3+e) (1-a)^2),
+        (1 - (1-b)^(i-1) - b (1-b)^(i-1)) lb / (b^2 (1-b)^(i-3+e))
+            against  (1 + (1-a) a^(i-2) + (1-a)^2 a^(i-2)) la / ((1-a)^3 a^(i-4+e)),
+    with la = log(1/a) and lb = log(1/(1-b)).  Every denominator is moved
+    to the other side, and kinds A and B are multiplied by a, so that no
+    power is negative.
+    """
+    a, b = Fraction(alpha), Fraction(beta)
+    abar, bbar = 1 - a, 1 - b
+    e = epsilon or 0
+    if kind == "C":
+        lhs, rhs = abar * a ** (i - 2), bbar ** (i - 1)
+    elif kind == "A":
+        lhs = (1 - bbar ** (i - 1)) * abar**2 * a ** (i - 2 + e)
+        rhs = (1 + a ** (i - 2) * abar) * a * b * bbar ** (i - 2 + e)
+    else:
+        lhs = (1 - bbar ** (i - 1) - b * bbar ** (i - 1)) * abar**3 * a ** (i - 3 + e)
+        rhs = (1 + abar * a ** (i - 2) + abar**2 * a ** (i - 2)) * a * b**2 * bbar ** (
+            i - 3 + e
+        )
+    with _digits():
+        la = -decimal.Decimal(alpha).ln()
+        lb = -(1 - decimal.Decimal(beta)).ln()
+        return _dec(lhs) * lb, _dec(rhs) * la
+
+
+def reference_tail_bound_sides(t, alpha, beta):
+    """(1 + (1-a) + ... + (1-a)^t) b^(t-1) against 1, exactly."""
+    a, b = Fraction(alpha), Fraction(beta)
+    return sum((1 - a) ** p for p in range(t + 1)) * b ** (t - 1), Fraction(1)
+
+
+def reference_i0_sides(alpha, i_max):
+    """For i = 2 .. i_max, both sides of the window test that i0 scans:
+
+        (1 + a^(i-2) (1-a)) log(1/(1 - e_{i-2}(a)))  against  log(1/a).
+    """
+    with _digits():
+        a = decimal.Decimal(alpha)
+        log_a, log_abar = a.ln(), (1 - a).ln()
+        sides = []
+        for j in range(i_max - 1):
+            inner = 1 + a**j * (1 - a)
+            log_inv_one_minus_e = -(j * log_a + log_abar - inner.ln()) / (j + 1)
+            sides.append((inner * log_inv_one_minus_e, -log_a))
+        return sides
+
+
+def reference_root(sides, lo, hi):
+    """The last float x in [lo, hi] on lo's side of the comparison sides(x).
+
+    Bisects down to adjacent floats, so sides(x) are as close as two
+    doubles can put them: a point on that boundary.
+    """
+    lhs, rhs = sides(lo)
+    lo_below = lhs < rhs
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lhs, rhs = sides(mid)
+        if (lhs < rhs) == lo_below:
+            lo = mid
+        else:
+            hi = mid
+    return lo

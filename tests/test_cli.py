@@ -9,6 +9,7 @@ import pytest
 
 from crossint.cli import main
 from crossint.exactarith import binom
+from support import reference_delta_prime_sides, reference_root, reference_window_sides
 
 
 def run(capsys, *argv):
@@ -483,6 +484,14 @@ def test_family_make_capacity_exit(capsys, kind_args):
     assert "family cap" in err
 
 
+@pytest.mark.parametrize("nk", [["--n", "5", "--k", "2"], ["--n", "30", "--k", "15"]])
+def test_family_make_negative_size_is_a_usage_error(capsys, nk):
+    # a negative size used to print the whole layer, even past the family cap
+    code, out, err = run(capsys, "family", "make", "colex", *nk, "--size", "-1")
+    assert (code, out) == (2, "")
+    assert "m >= 0" in err
+
+
 def test_family_cross_capacity_exit(tmp_path, capsys):
     # 11,440 x 11,440 pairs exceed the cap of 10**8; no pair is compared
     code, star_text, _ = run(capsys, "family", "make", "star", "--n", "17", "--k", "8")
@@ -528,6 +537,41 @@ def test_undecidable_point_exits_with_capacity_code(capsys):
     )
     assert code == 3
     assert "within" in err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ("0.1", "1e-300"),  # beta^2 underflows in kind B
+        ("0.4999999", "0.9999999999999999"),  # (1-beta)^(i-1) underflows in kind C
+    ],
+)
+def test_claims_at_underflowing_points_exit_without_a_traceback(capsys, point):
+    argv = ["check", "--alpha", point[0], "--beta", point[1], "--conditions", "claims"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    assert (out == "") == (code == 3)
+
+
+def test_each_point_condition_exits_3_on_its_boundary(capsys):
+    on_log_test = reference_root(
+        lambda b: reference_delta_prime_sides(0.45, b)[1], 0.5, 0.55
+    )
+    on_window_a21 = reference_root(
+        lambda b: reference_window_sides(0.25, b, 2, 1, "A"), 0.55, 0.9
+    )
+    for point, conditions, named in [
+        ((0.25, 1 / 1.75), "delta-prime", "Delta'"),  # on (2 - alpha) beta = 1
+        ((0.45, on_log_test), "delta-prime", "Delta'"),
+        ((0.25, on_window_a21), "claims", "window bound A(2, 1)"),
+    ]:
+        code, out, err = run(
+            capsys, "check", "--alpha", repr(point[0]), "--beta", repr(point[1]),
+            "--conditions", conditions,
+        )
+        assert (code, out) == (3, ""), (point, conditions)
+        assert named in err and "within" in err
 
 
 def test_reports_carry_no_wall_time(capsys):

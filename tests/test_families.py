@@ -52,6 +52,8 @@ def test_colex_segment_capacity():
         colex_segment(11, 3, 5)
     with pytest.raises(ValueError):
         colex_segment(1, 3, 100)  # ground set too large for one word
+    with pytest.raises(ValueError, match="m >= 0"):
+        colex_segment(-1, 2, 5)
 
 
 def test_shadow_examples():

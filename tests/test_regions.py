@@ -1,8 +1,11 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crossint import regions
 from crossint.errors import (
@@ -11,7 +14,7 @@ from crossint.errors import (
     NotFoundError,
     UndecidableAtTolerance,
 )
-from crossint.exactarith import binom
+from crossint.exactarith import DEFAULT_TOL, binom
 from crossint.families import (
     a_family_uniform,
     b_family_uniform,
@@ -20,7 +23,6 @@ from crossint.families import (
 )
 from crossint.regions import (
     ProductBound,
-    RegionPoint,
     boundary_condition,
     condition_c1,
     condition_c2,
@@ -39,14 +41,17 @@ from crossint.regions import (
     product_bound_condition,
     tail_bound,
 )
-
-
-def test_region_point_validation():
-    p = RegionPoint(0.25, 0.55)
-    assert p.alpha_bar == pytest.approx(0.75)
-    assert p.beta_bar == pytest.approx(0.45)
-    with pytest.raises(ValueError):
-        RegionPoint(0.0, 0.5)
+from support import (
+    reference_boundary_sides,
+    reference_delta_prime_sides,
+    reference_e,
+    reference_e_tail_floor,
+    reference_i0_sides,
+    reference_root,
+    reference_tail_bound_sides,
+    reference_window_sides,
+    relative_gap,
+)
 
 
 def test_e_curve_values():
@@ -75,8 +80,10 @@ def test_e_curve_tends_to_one_minus_alpha():
 def test_boundary_condition_examples():
     assert boundary_condition(0.25, 0.55, 0)
     assert not boundary_condition(0.2, 0.6, 0)
-    for alpha, j in [(0.2, 0), (0.3, 1), (0.4, 2)]:
-        assert not boundary_condition(alpha, e_j(alpha, j), j)
+    # a point on a curve is undecidable, not failing
+    for alpha, j in [(0.2, 0), (0.3, 1), (0.4, 2), (0.4, 0)]:
+        with pytest.raises(UndecidableAtTolerance):
+            boundary_condition(alpha, e_j(alpha, j), j)
 
 
 def test_three_way_equivalence():
@@ -379,3 +386,144 @@ def test_curve_samples_cap_grid_before_building(monkeypatch):
     for which in ("ej", "delta", "delta-prime"):
         with pytest.raises(CapacityError, match="grid cap 10"):
             curve_samples(which, 11)
+
+
+# ---------------------------------------------------------------------------
+# The near-boundary rule against the 50-digit reference
+# ---------------------------------------------------------------------------
+
+# "A few" tolerances: the doubles' own error stays well inside this margin.
+REFERENCE_BAND = 10 * DEFAULT_TOL
+
+unit = st.floats(0, 1, exclude_min=True, exclude_max=True)
+# (i, epsilon, kind), in the order product_bound_condition takes them
+windows = st.one_of(
+    st.tuples(st.integers(2, 40), st.none(), st.just("C")),
+    st.tuples(st.integers(2, 40), st.integers(0, 3), st.just("A")),
+    st.tuples(st.integers(2, 40), st.integers(1, 3), st.just("B")),
+)
+reference_settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=150
+)
+
+
+@st.composite
+def points(draw):
+    """Points of (0,1)^2, half of them on or next to a curve e_j."""
+    alpha = draw(unit)
+    if draw(st.booleans()):
+        return alpha, draw(unit)
+    curve = e_j(alpha, draw(st.integers(0, 6)))
+    nudge = draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6]))
+    beta = curve * (1.0 + draw(st.sampled_from([-nudge, nudge])))
+    assume(0 < beta < 1)
+    return alpha, beta
+
+
+def clear(*comparisons):
+    return all(relative_gap(lhs, rhs) > REFERENCE_BAND for lhs, rhs in comparisons)
+
+
+# A double side this small may have underflowed on the way, and the inverse
+# of an input this small overflows; either lands in the band.
+TINY = 1e-300
+
+
+def assert_matches(call, comparisons, expected, point):
+    """Outside the band, call() gives the reference verdict.
+
+    It may also be undecided, but only where a side or an input is tiny.
+    """
+    if not clear(*comparisons):
+        return
+    try:
+        assert call() == expected
+    except UndecidableAtTolerance:
+        sides = [abs(x) for pair in comparisons for x in pair]
+        assert min(*sides, *point) < TINY
+
+
+@reference_settings
+@given(points(), st.integers(0, 64), st.integers(4, 60), windows)
+def test_verdicts_match_the_reference_outside_the_band(point, j, t, window):
+    alpha, beta = point
+    for predicate, args, reference in [
+        (boundary_condition, (alpha, beta, j), reference_boundary_sides),
+        (tail_bound, (t, alpha, beta), reference_tail_bound_sides),
+        (product_bound_condition, (alpha, beta, *window), reference_window_sides),
+    ]:
+        sides = reference(*args)
+        assert_matches(lambda: predicate(*args), [sides], sides[0] < sides[1], point)
+    if 0 < alpha < 0.5:
+        sides = reference_i0_sides(alpha, regions.DEFAULT_I_MAX)
+        fails = [i for i, (lhs, rhs) in enumerate(sides, start=2) if lhs >= rhs]
+        assert_matches(lambda: i0(alpha), sides, fails[-1] + 1 if fails else 2, point)
+    if not in_omega(alpha, beta):
+        assert not in_delta_prime(alpha, beta)
+        assert not in_delta(alpha, beta)
+        return
+    sides = reference_delta_prime_sides(alpha, beta)
+    expected = all(lhs < rhs for lhs, rhs in sides)
+    assert_matches(lambda: in_delta_prime(alpha, beta), sides, expected, point)
+    curves = [(beta, reference_e(alpha, j)) for j in range(regions.DEFAULT_J_CAP + 1)]
+    tail = (beta, reference_e_tail_floor(alpha, regions.DEFAULT_J_CAP + 1))
+    if any(b > curve for b, curve in curves) or tail[0] < tail[1]:
+        expected = not any(b > curve for b, curve in curves)
+        assert_matches(lambda: in_delta(alpha, beta), [*curves, tail], expected, point)
+    elif clear(*curves, tail):
+        with pytest.raises(CertificationError):
+            in_delta(alpha, beta)
+
+
+@reference_settings
+@given(unit, unit, st.integers(0, 200), st.integers(4, 200), windows)
+def test_float_path_raises_only_undecidable_or_uncertified(alpha, beta, j, t, window):
+    calls = [
+        lambda: boundary_condition(alpha, beta, j),
+        lambda: tail_bound(t, alpha, beta),
+        lambda: product_bound_condition(alpha, beta, *window),
+        lambda: in_delta_prime(alpha, beta),
+        lambda: in_delta(alpha, beta),
+    ]
+    if alpha < 0.5:
+        calls.append(lambda: i0(alpha))
+    for call in calls:
+        with contextlib.suppress(UndecidableAtTolerance, CertificationError):
+            call()
+
+
+def test_each_predicate_is_undecidable_on_its_boundary():
+    log_root = reference_root(
+        lambda b: reference_delta_prime_sides(0.45, b)[1], 0.5, 0.55
+    )
+    i0_jump = reference_root(lambda a: reference_i0_sides(a, 2)[0], 0.2, 0.3)
+    gamma = sum(0.5**p for p in range(5))
+    # boundary_condition and in_delta have their own boundary tests above
+    calls = [
+        (in_delta_prime, 0.25, 1 / 1.75),  # on (2 - a) b = 1
+        (in_delta_prime, 0.45, log_root),
+        (tail_bound, 4, 0.5, gamma ** (-1 / 3)),
+        (i0, i0_jump),
+    ]
+    for kind, i, eps in [("C", 2, None), ("C", 5, None), ("A", 2, 1), ("B", 3, 1)]:
+        beta = reference_root(
+            lambda b: reference_window_sides(0.3, b, i, eps, kind), 0.01, 0.99
+        )
+        calls.append((product_bound_condition, 0.3, beta, i, eps, kind))
+    for predicate, *args in calls:
+        with pytest.raises(UndecidableAtTolerance):
+            predicate(*args)
+
+
+def test_window_bound_decides_next_to_its_boundary_at_small_beta():
+    # A(2, 0) meets its boundary near beta = 5e-9 when alpha = 1e-10; there
+    # 1 - (1-b) taken directly is off by about 1e-8, far outside the band
+    alpha = 1e-10
+    root = reference_root(
+        lambda b: reference_window_sides(alpha, b, 2, 0, "A"), 1e-12, 1e-6
+    )
+    assert 1e-9 < root < 1e-8
+    for beta in (root * (1 - 1e-9), root * (1 + 1e-9)):
+        sides = reference_window_sides(alpha, beta, 2, 0, "A")
+        assert relative_gap(*sides) > REFERENCE_BAND
+        assert product_bound_condition(alpha, beta, 2, 0, "A") == (sides[0] < sides[1])
