@@ -336,7 +336,6 @@ def from_text(text: str) -> UniformFamily:
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n k'")
     n, k = int(header[0]), int(header[1])
-    members = []
-    for ln in lines[1:]:
-        members.append(mask_of((int(tok) for tok in ln.split()), n))
-    return UniformFamily(n, k, tuple(members))
+    # one int per field, checked and set in mask_of as it is read
+    members = tuple(mask_of(map(int, ln.split()), n) for ln in lines[1:])
+    return UniformFamily(n, k, members)

@@ -16,15 +16,19 @@ Measure side.  The search space shrinks losslessly to up-closed
 cross-intersection and never lowers a biased measure, and the best second
 family is then determined pointwise, because a set B is compatible with
 an up-closed family exactly when the complement of B is not a member.
-The objective collapses to mu_alpha(A) * (1 - mu_{1-beta}(A)), maximized
-by depth-first extension over subset masks in descending numeric order
-(supersets are decided before subsets) with an exact integer
-branch-and-bound cut.  The family is one int of 2^n bits, bit m set when
-mask m is a member; it is passed down the recursion and reported as is.
-A mask may join only when its one-element supersets all have, which is
-one AND against a table of those supersets as family bits.  Arithmetic is
-integer throughout: measures are carried as numerators over the fixed
-denominators q^n and s^n.
+The objective collapses to mu_alpha(A) * (1 - mu_{1-beta}(A)), and both
+measures depend only on the layer profile of A, the number a_c of its
+members of size c.  Kruskal-Katona, applied to the complements (a
+down-set), says exactly which profiles up-sets have, so the maximum is a
+walk over those profiles (96 at n = 5, 553 at n = 6), each scored in
+integers over the fixed denominators q^n and s^n.  The witnesses are then
+listed profile by profile: a depth-first walk over subset masks in
+descending numeric order, include first, where a mask joins only when its
+one-element supersets all have (one AND against a table of them as
+family bits) and per-layer quotas cut every branch that cannot meet the
+profile.  Each family is one int of 2^n bits, bit m set when mask m is a
+member; sorted in descending int order, the first WITNESS_CAP of them
+are reported.
 
 k + l > n makes every pair of a k-set and an l-set intersect, so both
 oracles short-circuit to C(n,k) * C(n,l) there, refusing layers too
@@ -36,10 +40,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Any, Union
+from typing import Any, Iterator, Union
 
-from .cascade import _advance, _digits, _largest_a, kk_cross_bound
+from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
 from .exactarith import binom, binom_exceeds, exact_text
 from .families import (
@@ -106,11 +109,21 @@ def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     # at _largest_a(top, lev); top counts the size _advance emits after the
     # last one, which is the digit C(n+1, 1) when u = 1.  Digits never sit
     # below their level or at level 0, so those entries are 0 and unread.
+    # No row evaluates a binomial: with t = lev - drop, C(lev, t) comes from
+    # the previous row's first entry C(lev-1, t-1) times lev/t, and the row
+    # goes on by C(a+1, t) = C(a, t) * (a+1)/(a+1-t); both divisions are
+    # exact, and t <= 0 gives a row of 1s or 0s.
     top = binom(n, k) + 1
     term = [[]]
+    first = binom(0, -drop)
     for lev in range(1, u + 1):
         last = min(_largest_a(top, lev), n + 1)
-        term.append([0] * lev + [binom(a, lev - drop) for a in range(lev, last + 1)])
+        t = lev - drop
+        first = first * lev // t if t > 0 else binom(lev, t)
+        row = [0] * lev + [first]
+        for a in range(lev, last):
+            row.append(row[-1] * (a + 1) // (a + 1 - t))
+        term.append(row)
     digits = _digits(1, u)
     shadow = [0] * (u + 1)
     for i, (a, lev) in enumerate(digits, 1):
@@ -261,12 +274,74 @@ def uniqueness_check(n: int, k: int, l: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _layer_profiles(n: int) -> Iterator[tuple[int, ...]]:
+    """Every (a_0, ..., a_n) such that some up-set on [n] has a_c members of size c.
+
+    The complements of an up-set form a down-set, so by Kruskal-Katona a
+    profile is realizable exactly when, for each c, the fewest (c+1)-sets
+    lying over a_c c-sets is at most a_{c+1}: colex segments of the
+    complements attain every such profile.  That fewest number is the
+    minimum (n-c-1)-shadow of a_c (n-c)-sets, and 1 for any (n-1)-sets.
+    """
+    # over[c][x]: the fewest (c+1)-sets lying over x c-sets
+    over = [
+        [0] + [shadow_lower_bound(x, n - c, n - c - 1) for x in range(1, binom(n, c) + 1)]
+        for c in range(n - 1)
+    ]
+    over.append([0] + [1] * n)
+
+    def extend(profile: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # profile holds a_{c+1}, ..., a_n; over[c] never decreases in x
+        c = n - len(profile)
+        if c < 0:
+            yield profile
+            return
+        for x, need in enumerate(over[c]):
+            if need > profile[0]:
+                break
+            yield from extend((x,) + profile)
+
+    yield from extend((0,))
+    yield from extend((1,))
+
+
+def _up_sets(n: int, profile: tuple[int, ...], up: list[int], limit: int) -> list[int]:
+    """The first `limit` up-sets with layer profile `profile`, as family ints.
+
+    Depth-first over subset masks in descending order, include first, so
+    the families come out in descending int order.  A mask joins only when
+    its one-element supersets all have (one AND against up[mask]) and its
+    layer still needs members; it is left out only when enough of its
+    layer is still undecided to meet the quota.
+    """
+    need = list(profile)
+    left = [binom(n, c) for c in range(n + 1)]
+    found: list[int] = []
+
+    def walk(mask: int, fam: int) -> None:
+        if mask < 0:
+            found.append(fam)
+            return
+        c = mask.bit_count()
+        left[c] -= 1
+        if need[c] and fam & up[mask] == up[mask]:
+            need[c] -= 1
+            walk(mask - 1, fam | 1 << mask)
+            need[c] += 1
+        if left[c] >= need[c] and len(found) < limit:
+            walk(mask - 1, fam)
+        left[c] += 1
+
+    walk((1 << n) - 1, 0)
+    return found
+
+
 def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     """Exact maximum of mu_alpha(A) * mu_beta(B) over cross-intersecting pairs.
 
-    Searches up-closed first families only (lossless; see module notes) by
-    depth-first extension over subset masks in descending order, keeping
-    each family as one int and its measures as exact integer numerators.
+    Scores every layer profile an up-set can have (lossless; see module
+    notes), then lists the up-sets of the optimal profiles, keeping each
+    family as one int and its measures as exact integer numerators.
     Witnesses are reported as the antichains of minimal members of each
     optimal pair.
     """
@@ -281,49 +356,32 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
         )
     p, q = alpha.numerator, alpha.denominator
     r, s = beta.numerator, beta.denominator
-    size = 1 << n
-    counts = [mask.bit_count() for mask in range(size)]
-    # numerators of mu_alpha and of mu_{1-beta}
-    weight_a = [p**c * (q - p) ** (n - c) for c in counts]
-    weight_b = [(s - r) ** c * r ** (n - c) for c in counts]
+    # numerators of mu_alpha and of mu_{1-beta} of one c-set
+    weight_a = [p**c * (q - p) ** (n - c) for c in range(n + 1)]
+    weight_b = [(s - r) ** c * r ** (n - c) for c in range(n + 1)]
     total_b = s**n
-    # open_a[m]: the most the still undecided masks m, m-1, ..., 0 can add
-    open_a = list(accumulate(weight_a))
+    best, optimal = -1, []
+    for profile in _layer_profiles(n):
+        num_a = sum(a * w for a, w in zip(profile, weight_a))
+        num_b = sum(a * w for a, w in zip(profile, weight_b))
+        value = num_a * (total_b - num_b)
+        if value > best:
+            best, optimal = value, [profile]
+        elif value == best:
+            optimal.append(profile)
     # up[m]: the one-element supersets of m, as family bits
     up = [
         sum(1 << (mask | 1 << e) for e in range(n) if not mask >> e & 1)
-        for mask in range(size)
+        for mask in range(1 << n)
     ]
-    # the stars achieve alpha * beta, which seeds the branch-and-bound cut
-    best = p * q ** (n - 1) * r * s ** (n - 1)
-    winners: list[int] = []
-    truncated = False
-
-    def search(mask: int, fam: int, num_a: int, num_b: int) -> None:
-        nonlocal best, winners, truncated
-        if mask < 0:
-            value = num_a * (total_b - num_b)
-            if value > best:
-                best, winners, truncated = value, [fam], False
-            elif value == best:
-                if len(winners) < WITNESS_CAP:
-                    winners.append(fam)
-                else:
-                    truncated = True
-            return
-        if (num_a + open_a[mask]) * (total_b - num_b) < best:
-            return
-        if fam & up[mask] == up[mask]:
-            search(
-                mask - 1, fam | 1 << mask, num_a + weight_a[mask], num_b + weight_b[mask]
-            )
-        search(mask - 1, fam, num_a, num_b)
-
-    search(size - 1, 0, 0, 0)
+    winners = sorted(
+        (fam for profile in optimal for fam in _up_sets(n, profile, up, WITNESS_CAP + 1)),
+        reverse=True,
+    )
     value = Fraction(best, q**n * total_b)
     witnesses = {
-        "optimal_count": len(winners) if not truncated else f">{WITNESS_CAP}",
-        "pairs": [_witness_pair(bits, n) for bits in winners],
+        "optimal_count": len(winners) if len(winners) <= WITNESS_CAP else f">{WITNESS_CAP}",
+        "pairs": [_witness_pair(bits, n) for bits in winners[:WITNESS_CAP]],
     }
     return OracleResult(
         value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}

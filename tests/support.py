@@ -2,12 +2,14 @@
 
 Everything here recomputes quantities by definition-level enumeration:
 no cascade arithmetic, no shadow formulas, no closed forms.  Tests freeze
-expected values from these, then check the fast paths against them.  The
-one exception is reference_sweep, which takes the shadow bound of each
-size from that size's own cascade form, independently of the incremental
-bound kept by the production sweep.  The region references at the end
-evaluate each side of a predicate's comparison at 50 digits instead of in
-doubles.
+expected values from these, then check the fast paths against them.  Two
+exceptions are searches the package used to run: reference_sweep takes
+the shadow bound of each size from that size's own cascade form,
+independently of the incremental bound kept by the production sweep, and
+reference_measure_search finds the measure optima by branch and bound
+over up-closed families, with no layer profiles.  The region references
+at the end evaluate each side of a predicate's comparison at 50 digits
+instead of in doubles.
 """
 
 import decimal
@@ -154,6 +156,75 @@ def reference_measure_optima(n, alpha, beta):
         elif value == best:
             optima.append((fam_a, fam_b))
     return best, {(minimal(a), minimal(b)) for a, b in optima}
+
+
+def reference_measure_search(n, alpha, beta, leaves=None):
+    """The measure oracle as an exact branch-and-bound over up-closed families.
+
+    Depth-first extension over subset masks in descending order, include
+    first, so families are met in descending int order; a mask may join
+    only when its one-element supersets all have.  The star value seeds the
+    bound cut, and ties with the best are kept, so the first WITNESS_CAP
+    optimal families are reported in that order.  A list passed as
+    `leaves` receives every up-closed family the walk completes, and then
+    nothing is cut, so it receives all of them.
+    """
+    from itertools import accumulate
+
+    from crossint.oracle import WITNESS_CAP, OracleResult, _witness_pair
+
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    p, q = alpha.numerator, alpha.denominator
+    r, s = beta.numerator, beta.denominator
+    size = 1 << n
+    counts = [mask.bit_count() for mask in range(size)]
+    # numerators of mu_alpha and of mu_{1-beta}
+    weight_a = [p**c * (q - p) ** (n - c) for c in counts]
+    weight_b = [(s - r) ** c * r ** (n - c) for c in counts]
+    total_b = s**n
+    # open_a[m]: the most the still undecided masks m, m-1, ..., 0 can add
+    open_a = list(accumulate(weight_a))
+    # up[m]: the one-element supersets of m, as family bits
+    up = [
+        sum(1 << (mask | 1 << e) for e in range(n) if not mask >> e & 1)
+        for mask in range(size)
+    ]
+    # the stars achieve alpha * beta, which seeds the branch-and-bound cut
+    best = p * q ** (n - 1) * r * s ** (n - 1)
+    winners = []
+    truncated = False
+
+    def search(mask, fam, num_a, num_b):
+        nonlocal best, winners, truncated
+        if mask < 0:
+            if leaves is not None:
+                leaves.append(fam)
+            value = num_a * (total_b - num_b)
+            if value > best:
+                best, winners, truncated = value, [fam], False
+            elif value == best:
+                if len(winners) < WITNESS_CAP:
+                    winners.append(fam)
+                else:
+                    truncated = True
+            return
+        if leaves is None and (num_a + open_a[mask]) * (total_b - num_b) < best:
+            return
+        if fam & up[mask] == up[mask]:
+            search(
+                mask - 1, fam | 1 << mask, num_a + weight_a[mask], num_b + weight_b[mask]
+            )
+        search(mask - 1, fam, num_a, num_b)
+
+    search(size - 1, 0, 0, 0)
+    value = Fraction(best, q**n * total_b)
+    witnesses = {
+        "optimal_count": len(winners) if not truncated else f">{WITNESS_CAP}",
+        "pairs": [_witness_pair(bits, n) for bits in winners],
+    }
+    return OracleResult(
+        value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}
+    )
 
 
 def reference_sweep(n, k, l):

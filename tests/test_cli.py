@@ -250,6 +250,22 @@ def test_truncated_measure_stdout_is_pinned(capsys):
     assert digest == "847fcd0ee6b1fed2378f65aae7c464a0b37768c1f59216ba69f7f3901b4021bf"
 
 
+def test_n6_measure_stdout_is_pinned_end_to_end():
+    # the golden was captured from the branch-and-bound search, which took
+    # about 90 s for this point; the profile walk must match it in seconds
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "crossint.cli", "measure", "6", "--alpha", "1/10",
+         "--beta", "3/5"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "measure_n6.json").read_text()
+
+
 @pytest.mark.parametrize("alpha", ["1/0", "x", "1/2/3"])
 def test_measure_bad_fraction_is_a_usage_error(capsys, alpha):
     code, out, err = run(capsys, "measure", "4", "--alpha", alpha, "--beta", "1/2")
@@ -420,6 +436,25 @@ def test_family_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "family", "cross", str(a_path), str(b_path))
     assert code == 0
     assert json.loads(out)["cross_intersecting"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("6 3\n1 2 3\n2 7 4\n", "element 7 outside [1, 6]"),
+        ("6 3\n1 2 3\n2 2 4\n", "member of wrong size"),
+        ("6 3\n1 2 3\n2 4\n", "member of wrong size"),
+        ("6 3\n1 2 3\n3 1 2\n", "duplicate member"),
+    ],
+    ids=["out-of-range", "repeated-element", "wrong-size", "duplicate-member"],
+)
+def test_malformed_family_file_is_a_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    for argv in (["info", str(path)], ["cross", str(path), str(path)]):
+        code, out, err = run(capsys, "family", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 def test_family_options_belong_to_the_leaf_commands(capsys):

@@ -243,6 +243,24 @@ def test_measure_is_additive_and_bounded():
     assert 0 <= measure(fam1, p) <= 1
 
 
+MALFORMED_FAMILY_FILES = [
+    ("6 3\n1 2 3\n2 7 4\n", "element 7 outside [1, 6]"),
+    ("6 3\n1 2 3\n0 2 4\n", "element 0 outside [1, 6]"),
+    # a repeated element sets one bit, so the member comes out too small
+    ("6 3\n1 2 3\n2 2 4\n", "member of wrong size in uniform family"),
+    ("6 3\n1 2 3\n2 4\n", "member of wrong size in uniform family"),
+    ("6 3\n1 2 3\n3 1 2\n", "duplicate member"),
+    ("6 3\n1 2 x\n", "invalid literal for int()"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FAMILY_FILES)
+def test_from_text_refuses_malformed_members(text, message):
+    with pytest.raises(ValueError) as caught:
+        from_text(text)
+    assert message in str(caught.value)
+
+
 def test_text_round_trip():
     fam = a_family_uniform(6, 3, 1)
     text = to_text(fam)

@@ -10,6 +10,7 @@ from crossint.oracle import (
     DEFAULT_SWEEP_BUDGET,
     ENUMERATION_CAP,
     WITNESS_CAP,
+    _layer_profiles,
     _sweep,
     achieving_pair,
     conjecture_scan,
@@ -24,6 +25,7 @@ from support import (
     brute_max_product,
     brute_measure_product,
     reference_measure_optima,
+    reference_measure_search,
     reference_sweep,
 )
 
@@ -213,6 +215,33 @@ def test_measure_oracle_matches_the_up_set_reference(n):
             else:
                 assert res.witnesses["optimal_count"] == f">{WITNESS_CAP}"
                 assert len(pairs) == WITNESS_CAP and pairs < optima
+
+
+def test_measure_oracle_matches_the_branch_and_bound_at_n5():
+    # the whole report, so the witness order and the ">64" cut are checked too
+    grid = [Fraction(i, 9) for i in range(1, 9)]
+    for alpha in grid:
+        for beta in grid:
+            want = reference_measure_search(5, alpha, beta).to_dict()
+            assert measure_oracle(5, alpha, beta).to_dict() == want, (alpha, beta)
+
+
+@pytest.mark.parametrize("n, dedekind", [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
+def test_layer_profiles_are_those_of_the_up_sets(n, dedekind):
+    leaves = []
+    reference_measure_search(n, Fraction(1, 3), Fraction(1, 2), leaves)
+    # the uncut walk completes every up-closed family exactly once
+    assert len(set(leaves)) == len(leaves) == dedekind
+    want = {
+        tuple(
+            sum(fam >> mask & 1 for mask in range(1 << n) if mask.bit_count() == c)
+            for c in range(n + 1)
+        )
+        for fam in leaves
+    }
+    got = list(_layer_profiles(n))
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_full_layers_are_refused_only_past_the_digit_limit(monkeypatch):
