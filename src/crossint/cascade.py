@@ -21,10 +21,8 @@ evaluates it, and the bound is attained by complementing a colex segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidTruncationError
-from .exactarith import binom, gen_binom, solve_binom_x
+from .exactarith import _Frozen, binom, gen_binom, solve_binom_x
 
 
 def _largest_a(m: int, lev: int) -> int:
@@ -76,14 +74,13 @@ def _advance(digits: list[tuple[int, int]]) -> None:
     digits.append((a, lev))
 
 
-@dataclass(frozen=True)
-class CascadeForm:
+class CascadeForm(_Frozen):
     """The unique cascade representation of an integer at level u."""
 
-    u: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("u", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, u: int, pairs: tuple[tuple[int, int], ...]) -> None:
+        self._set_fields(u, pairs)
         if self.u < 1 or not self.pairs:
             raise ValueError("cascade form needs u >= 1 and at least one term")
         prev_a = None
@@ -113,8 +110,7 @@ def cascade_decompose(m: int, u: int) -> CascadeForm:
     return CascadeForm(u, tuple(_digits(m, u)))
 
 
-@dataclass(frozen=True)
-class TruncatedCascade:
+class TruncatedCascade(_Frozen):
     """Cascade form with its tail collapsed into one real-argument term.
 
     ``pairs`` holds the kept integer digits (levels u down to u-s, possibly
@@ -122,9 +118,10 @@ class TruncatedCascade:
     a_{u-s-1} <= x < a_{u-s} whenever digits were actually dropped.
     """
 
-    u: int
-    pairs: tuple[tuple[int, int], ...]
-    x: float
+    __slots__ = ("u", "pairs", "x")
+
+    def __init__(self, u: int, pairs: tuple[tuple[int, int], ...], x: float) -> None:
+        self._set_fields(u, pairs, x)
 
     @property
     def x_level(self) -> int:

@@ -9,7 +9,8 @@ diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 Each command takes only the options it reads; caps, tolerances and
 budgets are module constants, not options.  Reports are JSON with a
 schema tag, except the CSV figure tables of `region`, and carry no wall
-times, so output is byte-stable for a fixed invocation.
+times, so output is byte-stable for a fixed invocation.  Each handler
+imports the modules it runs when called, so no command loads another's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import families, oracle, regions
 from .errors import (
     CapacityError,
     CertificationError,
@@ -133,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mnkl(args: argparse.Namespace) -> int:
+    from . import oracle
     results = {}
     nkl = (args.n, args.k, args.l)
     if args.method in ("cascade", "both"):
@@ -149,6 +150,7 @@ def _cmd_mnkl(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    from . import regions
     header, rows = regions.curve_samples(
         args.what, args.grid, alpha_range=tuple(args.alpha_range)
     )
@@ -157,6 +159,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
+    from . import regions
     out = {}
     for name in wanted:
         if name == "delta":
@@ -184,6 +187,7 @@ def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import regions
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
     if not wanted:
         raise ValueError(
@@ -217,6 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from . import oracle
     result = oracle.measure_oracle(args.n, args.alpha, args.beta)
     product = args.alpha * args.beta
     body = {
@@ -229,6 +234,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import oracle
     emitted = 0
     reached = 0
     (n_lo, n_hi), (k_lo, k_hi), (l_lo, l_hi) = args.n_range, args.k_range, args.l_range
@@ -257,6 +263,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from . import families
     if args.family_command == "make":
         if args.kind == "star":
             fam = families.star_uniform(args.n, args.k, args.center)

@@ -28,6 +28,39 @@ DEFAULT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
+class _Record:
+    """A value class whose fields are its __slots__: compared and printed by them."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({text})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once: assigning one raises, hash is by fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 whenever k < 0 or k > n."""
     if n < 0:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import CapacityError, NonBinomialSizeError
-from .exactarith import binom
+from .exactarith import _Frozen, binom
 
 MAX_GROUND_SET = 64
 #: Most members a constructor materializes; sizes are known from binomials
@@ -62,15 +61,13 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class UniformFamily:
+class UniformFamily(_Frozen):
     """A family of k-subsets of [n], members stored as bitmasks."""
 
-    n: int
-    k: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "k", "members")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, members: tuple[int, ...]) -> None:
+        self._set_fields(n, k, members)
         _check_ground(self.n)
         if not 0 <= self.k <= self.n:
             raise ValueError(f"uniform size must be in [0, {self.n}], got {self.k}")
@@ -92,14 +89,13 @@ class UniformFamily:
         return [elements_of(m) for m in self.members]
 
 
-@dataclass(frozen=True)
-class GeneralFamily:
+class GeneralFamily(_Frozen):
     """A family of arbitrary subsets of [n], members stored as bitmasks."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self):
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        self._set_fields(n, members)
         _check_ground(self.n)
         full = (1 << self.n) - 1
         if len(set(self.members)) != len(self.members):
@@ -108,11 +104,8 @@ class GeneralFamily:
             if m & ~full:
                 raise ValueError("member outside the ground set")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sets(self) -> list[tuple[int, ...]]:
-        return [elements_of(m) for m in self.members]
+    __len__ = UniformFamily.__len__
+    sets = UniformFamily.sets
 
 
 AnyFamily = Union[UniformFamily, GeneralFamily]
@@ -336,6 +329,7 @@ def from_text(text: str) -> UniformFamily:
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n k'")
     n, k = int(header[0]), int(header[1])
+    _check_ground(n)
     # one int per field, checked and set in mask_of as it is read
     members = tuple(mask_of(map(int, ln.split()), n) for ln in lines[1:])
     return UniformFamily(n, k, members)

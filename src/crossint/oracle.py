@@ -38,13 +38,12 @@ large to print before they are multiplied.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
-from .exactarith import binom, binom_exceeds, exact_text
+from .exactarith import _Record, binom, binom_exceeds, exact_text
 from .families import (
     UniformFamily,
     colex_masks,
@@ -62,14 +61,15 @@ MEASURE_CAP = 6
 WITNESS_CAP = 64
 
 
-@dataclass
-class OracleResult:
+class OracleResult(_Record):
     """A certified maximum with the configurations that achieve it."""
 
-    value: Union[int, Fraction]
-    witnesses: Any
-    method: str
-    params: dict
+    __slots__ = ("value", "witnesses", "method", "params")
+
+    def __init__(
+        self, value: Union[int, Fraction], witnesses: Any, method: str, params: dict
+    ) -> None:
+        self._set_fields(value, witnesses, method, params)
 
     def to_dict(self) -> dict:
         out = dict(self.params)

@@ -27,7 +27,6 @@ inputs compare exactly; curve values are computed without the band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     NotFoundError,
     UndecidableAtTolerance,
 )
-from .exactarith import DEFAULT_TOL, binom, bisect, gen_binom
+from .exactarith import DEFAULT_TOL, _Frozen, binom, bisect, gen_binom
 
 #: Curves e_0 .. e_DEFAULT_J_CAP are checked one by one before the tail bound.
 DEFAULT_J_CAP = 64
@@ -298,8 +297,7 @@ def i0(alpha: float) -> int:
 _KIND_PREFIX_TERMS = {"C": 1, "A": 2, "B": 3}
 
 
-@dataclass(frozen=True)
-class ProductBound:
+class ProductBound(_Frozen):
     """Product polynomial (X + C(x, p)) (Y - C(x, q)) over a size window.
 
     X sums the first 1 ("C"), 2 ("A"), or 3 ("B") cascade digits of the
@@ -309,14 +307,12 @@ class ProductBound:
     x-term's level up to n - i - epsilon.
     """
 
-    kind: str
-    n: int
-    k: int
-    l: int
-    i: int
-    epsilon: int = 0
+    __slots__ = ("kind", "n", "k", "l", "i", "epsilon")
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, n: int, k: int, l: int, i: int, epsilon: int = 0
+    ) -> None:
+        self._set_fields(kind, n, k, l, i, epsilon)
         if self.kind not in _KIND_PREFIX_TERMS:
             raise ValueError(f"kind must be one of A, B, C; got {self.kind!r}")
         if self.i < 2:

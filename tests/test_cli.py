@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import crossint
 from crossint.cli import main
 from crossint.exactarith import binom
 from support import reference_delta_prime_sides, reference_root, reference_window_sides
@@ -282,19 +284,24 @@ def test_check_degenerate_nkl_is_a_usage_error(capsys, conditions):
     assert "need 1 <= k, l <= n-1" in err
 
 
-def _heavy_modules_after(statement):
-    """Which of numpy and the process-pool modules a fresh interpreter loads."""
+def _loaded_after(statement, watched):
+    """Which of the watched modules a fresh interpreter has loaded after statement."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        f"import sys, crossint.cli; {statement}; "
-        "print([m for m in ('numpy', 'multiprocessing', 'concurrent.futures') "
-        "if m in sys.modules], file=sys.stderr)"
+        f"import sys; {statement}; "
+        f"print([m for m in {watched!r} if m in sys.modules], file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return done.stderr.strip()
+
+
+def _heavy_modules_after(statement):
+    """Which of numpy and the process-pool modules a fresh interpreter loads."""
+    heavy = ("numpy", "multiprocessing", "concurrent.futures")
+    return _loaded_after(f"import crossint.cli; {statement}", heavy)
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -308,6 +315,31 @@ def test_scan_leaves_numpy_unloaded():
         "'--l-range', '5', '7'])"
     )
     assert _heavy_modules_after(scan) == "[]"
+
+
+SUBMODULES = ("cascade", "cli", "errors", "exactarith", "families", "oracle", "regions")
+
+
+def test_commands_import_only_what_they_use():
+    package = tuple(f"crossint.{name}" for name in SUBMODULES)
+    assert _loaded_after("import crossint", package) == "[]"
+    unused = ("dataclasses", "inspect", "numpy") + tuple(
+        f"crossint.{name}" for name in ("oracle", "families", "regions", "cascade")
+    )
+    assert _loaded_after("import crossint.cli", unused) == "[]"
+    command = "import crossint.cli; crossint.cli.main({!r})"
+    check = ["check", "--alpha", "0.25", "--beta", "0.55", "--conditions", "delta"]
+    assert _loaded_after(command.format(check), unused) == "['crossint.regions']"
+    family = ["family", "make", "star", "--n", "6", "--k", "2"]
+    assert _loaded_after(command.format(family), unused) == "['crossint.families']"
+    # mnkl loads every module, and still neither dataclasses nor inspect
+    loaded = _loaded_after(command.format(["mnkl", "6", "2", "3"]), unused)
+    assert loaded == str(list(unused[3:]))
+    # every public name is the object its submodule holds
+    modules = [importlib.import_module(f"crossint.{name}") for name in SUBMODULES]
+    for name in crossint.__all__:
+        held = [vars(module)[name] for module in modules if name in vars(module)]
+        assert held and all(obj is getattr(crossint, name) for obj in held), name
 
 
 def test_measure_capacity_exit(capsys):
@@ -445,8 +477,19 @@ def test_family_roundtrip(tmp_path, capsys):
         ("6 3\n1 2 3\n2 2 4\n", "member of wrong size"),
         ("6 3\n1 2 3\n2 4\n", "member of wrong size"),
         ("6 3\n1 2 3\n3 1 2\n", "duplicate member"),
+        ("10000000000 3\n1 2 3\n", "ground set size must be in [1, 64]"),
+        # the header is refused before any member is read, so an element far
+        # past the cap never becomes a bitmask of that many bits
+        ("70 3\n1 2 71\n", "ground set size must be in [1, 64], got 70"),
     ],
-    ids=["out-of-range", "repeated-element", "wrong-size", "duplicate-member"],
+    ids=[
+        "out-of-range",
+        "repeated-element",
+        "wrong-size",
+        "duplicate-member",
+        "huge-ground-set",
+        "ground-set-before-members",
+    ],
 )
 def test_malformed_family_file_is_a_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "fam.txt"

@@ -134,8 +134,10 @@ TUNING_KWARGS = {
 def test_public_api_has_no_tuning_kwargs():
     # caps, tolerances and budgets are module constants, read when called
     checked = 0
-    for name, obj in vars(crossint).items():
-        if name.startswith("_") or not callable(obj):
+    assert len(crossint.__all__) == 65
+    for name in crossint.__all__:
+        obj = getattr(crossint, name)
+        if not callable(obj):
             continue
         if inspect.isclass(obj) and issubclass(obj, Exception):
             continue
@@ -150,6 +152,95 @@ def test_public_api_has_no_tuning_kwargs():
             assert not params & TUNING_KWARGS, (name, target, params & TUNING_KWARGS)
             checked += 1
     assert checked > 50
+
+
+RECORDS = [
+    (
+        crossint.CascadeForm(3, ((5, 3), (2, 2))),
+        crossint.CascadeForm(3, ((5, 3), (3, 2))),
+        "CascadeForm(u=3, pairs=((5, 3), (2, 2)))",
+        "(u: 'int', pairs: 'tuple[tuple[int, int], ...]')",
+    ),
+    (
+        crossint.TruncatedCascade(3, ((5, 3),), 2.5),
+        crossint.TruncatedCascade(3, ((5, 3),), 3.5),
+        "TruncatedCascade(u=3, pairs=((5, 3),), x=2.5)",
+        "(u: 'int', pairs: 'tuple[tuple[int, int], ...]', x: 'float')",
+    ),
+    (
+        crossint.UniformFamily(4, 2, (3, 5)),
+        crossint.UniformFamily(4, 2, (5, 3)),
+        "UniformFamily(n=4, k=2, members=(3, 5))",
+        "(n: 'int', k: 'int', members: 'tuple[int, ...]')",
+    ),
+    (
+        crossint.GeneralFamily(3, (0, 5)),
+        crossint.GeneralFamily(4, (0, 5)),
+        "GeneralFamily(n=3, members=(0, 5))",
+        "(n: 'int', members: 'tuple[int, ...]')",
+    ),
+    (
+        crossint.ProductBound("A", 10, 3, 6, 2),
+        crossint.ProductBound("A", 10, 3, 6, 2, 1),
+        "ProductBound(kind='A', n=10, k=3, l=6, i=2, epsilon=0)",
+        "(kind: 'str', n: 'int', k: 'int', l: 'int', i: 'int', epsilon: 'int' = 0)",
+    ),
+    (
+        crossint.OracleResult(Fraction(3, 8), [[1]], "measure", {"n": 2}),
+        crossint.OracleResult(Fraction(3, 8), [[2]], "measure", {"n": 2}),
+        "OracleResult(value=Fraction(3, 8), witnesses=[[1]], method='measure',"
+        " params={'n': 2})",
+        "(value: 'Union[int, Fraction]', witnesses: 'Any', method: 'str', params: 'dict')",
+    ),
+]
+
+RECORD_ERRORS = [
+    ((crossint.CascadeForm, 0, ()), "cascade form needs u >= 1 and at least one term"),
+    ((crossint.CascadeForm, 3, ((5, 3), (2, 1))), "cascade levels must decrease by exactly one"),
+    ((crossint.CascadeForm, 2, ((1, 2),)), "invalid cascade digit C(1, 2)"),
+    ((crossint.CascadeForm, 3, ((5, 3), (5, 2))), "cascade digits must strictly decrease"),
+    ((crossint.UniformFamily, 0, 0, ()), "ground set size must be in [1, 64], got 0"),
+    ((crossint.UniformFamily, 4, 5, ()), "uniform size must be in [0, 4], got 5"),
+    ((crossint.UniformFamily, 4, 2, (17,)), "member outside the ground set"),
+    ((crossint.UniformFamily, 4, 2, (1,)), "member of wrong size in uniform family"),
+    ((crossint.UniformFamily, 4, 2, (3, 3)), "duplicate member"),
+    ((crossint.GeneralFamily, 3, (1, 1)), "duplicate member"),
+    ((crossint.GeneralFamily, 3, (8,)), "member outside the ground set"),
+    ((crossint.ProductBound, "D", 10, 3, 6, 2), "kind must be one of A, B, C; got 'D'"),
+    ((crossint.ProductBound, "A", 10, 3, 6, 1), "need i >= 2, got 1"),
+    ((crossint.ProductBound, "C", 10, 3, 6, 2, 1), "kind C has no epsilon offset"),
+    ((crossint.ProductBound, "B", 10, 3, 6, 2), "kind B needs epsilon >= 1"),
+    ((crossint.ProductBound, "A", 10, 3, 6, 2, -1), "need epsilon >= 0, got -1"),
+]
+
+
+def test_record_classes_keep_dataclass_semantics():
+    # the value classes compare, hash and print by their fields, in order
+    for record, other, text, signature in RECORDS:
+        cls = type(record)
+        twin = eval(text, {cls.__name__: cls, "Fraction": Fraction})
+        assert repr(record) == text
+        params = inspect.signature(cls).replace(return_annotation=inspect.Signature.empty)
+        assert str(params) == signature
+        assert record == twin and record is not twin
+        assert record != other and not record == other
+        if cls is crossint.OracleResult:
+            with pytest.raises(TypeError):
+                hash(record)
+            twin.method = "cascade"
+            assert twin.method == "cascade" and twin != record
+            continue
+        assert hash(record) == hash(twin)
+        assert len({record, twin, other}) == 2
+        for name in inspect.signature(cls).parameters:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(other, name))
+        assert record == twin
+    assert crossint.ProductBound("A", 10, 3, 6, 2).epsilon == 0
+    for (cls, *args), message in RECORD_ERRORS:
+        with pytest.raises(ValueError) as caught:
+            cls(*args)
+        assert str(caught.value) == message
 
 
 def test_binom_ratio_exact():
