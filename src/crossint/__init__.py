@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "OracleResult", "achieving_pair", "conjecture_scan", "max_product_cascade",
-        "max_product_enumeration", "measure_oracle", "uniqueness_check",
+        "max_product_enumeration", "measure_oracle",
     ),
     "regions": (
         "ProductBound", "boundary_condition", "condition_c1", "condition_c2",

@@ -313,8 +313,14 @@ def lift(fam: GeneralFamily) -> GeneralFamily:
     return GeneralFamily(fam.n + 1, tuple(members))
 
 
+def _check_text_k(k: int) -> None:
+    if k == 0:
+        raise ValueError("k = 0: a line of the text format cannot carry the empty set")
+
+
 def to_text(fam: UniformFamily) -> str:
-    """Line format: header "n k", then one sorted subset per line."""
+    """Line format: header "n k", then one sorted subset per line (k >= 1)."""
+    _check_text_k(fam.k)
     lines = [f"{fam.n} {fam.k}"]
     for m in fam.members:
         lines.append(" ".join(str(e) for e in elements_of(m)))
@@ -330,6 +336,7 @@ def from_text(text: str) -> UniformFamily:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n k'")
     n, k = int(header[0]), int(header[1])
     _check_ground(n)
+    _check_text_k(k)
     # one int per field, checked and set in mask_of as it is read
     members = tuple(mask_of(map(int, ln.split()), n) for ln in lines[1:])
     return UniformFamily(n, k, members)

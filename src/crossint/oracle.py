@@ -5,7 +5,8 @@ of m (n-k)-sets) over all m: the shadow of the complements of the first
 family is forbidden to the second family, which makes the expression an
 upper bound for every cross-intersecting pair, and complementing a colex
 segment attains it, so the sweep maximum is exactly M(n,k,l).  The sweep
-alone decides every reported maximum, uniqueness verdict and scan label.
+alone decides every reported maximum and, through its witness list, every
+scan verdict on whether stars are the unique optimum.
 The enumeration oracle instead walks every subset of the k-layer and pairs
 it with the largest compatible second family; exponential, but free of any
 shadow reasoning, so it is an independent cross-check of the sweep, run
@@ -238,37 +239,6 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     return OracleResult(best, witnesses, "enumeration", params)
 
 
-def uniqueness_check(n: int, k: int, l: int) -> dict:
-    """Is the star size the only maximizer, and is the star structure forced?
-
-    Both verdicts come from the cascade sweep alone.  Size uniqueness is
-    its witness list.  Structure is forced by the shadow equality condition
-    when k + l < n: any optimal pair then has first-family complements
-    achieving the minimum shadow at binomial size, which only a full layer
-    does.  The enumeration oracle checks the same verdicts in the tests.
-    """
-    sweep = max_product_cascade(n, k, l)
-    report: dict[str, Any] = {"n": n, "k": k, "l": l, "value": exact_text(sweep.value)}
-    sizes = [w["a_size"] for w in sweep.witnesses]
-    if k + l > n:
-        report.update(
-            maximizing_sizes=sizes,
-            unique_size=True,
-            star_forced=False,
-            note="full layers are optimal; stars are not",
-        )
-        return report
-    star_size = binom(n - 1, k - 1)
-    unique = sizes == [star_size]
-    report.update(
-        maximizing_sizes=sizes,
-        star_size=star_size,
-        unique_size=unique,
-        star_forced=unique and k + l < n,
-    )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Measure oracle over monotone families
 # ---------------------------------------------------------------------------
@@ -421,19 +391,23 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
     both perturbation terms vanish and the pair IS the star pair, so the
     scan certifies that tail as degenerate rather than checking it.  The
     index is capped at regions.DEFAULT_J_CAP, as for the e_j curves.
-    Output labels the instance as evidence only; nothing here resolves
-    the general question.
+    The verdict is read from the sweep's witness list: in Omega' (k + l < n)
+    an optimum of the star size must be a star, by the shadow equality
+    condition, so stars are the unique optimum exactly when that is the
+    only maximizing size.  Output labels the instance as evidence only;
+    nothing here resolves the general question.
     """
     if not in_omega_prime(n, k, l):
         raise ValueError(f"(k, l) = ({k}, {l}) is not in the integer region for n={n}")
-    star_product = binom(n - 1, k - 1) * binom(n - 1, l - 1)
+    star_a, star_b = binom(n - 1, k - 1), binom(n - 1, l - 1)
+    star_product = star_a * star_b
     degenerate_from = max(k, n - l)
     checked = []
     first_violation = None
     checked_up_to = min(DEFAULT_J_CAP, degenerate_from - 1)
     for j in range(0, checked_up_to + 1):
-        size_a = binom(n - 1, k - 1) + binom(n - j - 2, k - j - 1)
-        size_b = binom(n - 1, l - 1) - binom(n - j - 2, l - 1)
+        size_a = star_a + binom(n - j - 2, k - j - 1)
+        size_b = star_b - binom(n - j - 2, l - 1)
         holds = size_a * size_b < star_product
         checked.append(
             {"j": j, "product": exact_text(size_a * size_b), "holds": holds}
@@ -456,13 +430,24 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
         "hypothesis": hypothesis,
     }
     try:
-        unique = uniqueness_check(n, k, l)
+        sweep = max_product_cascade(n, k, l)
+        value = exact_text(sweep.value)
     except CapacityError:
         report["oracle"] = None
         report["label"] = "out-of-reach"
         return report
-    conclusion = int(unique["value"]) == star_product and unique["star_forced"]
-    report["oracle"] = unique
+    sizes = [w["a_size"] for w in sweep.witnesses]
+    conclusion = sizes == [star_a]
+    report["oracle"] = {
+        "n": n,
+        "k": k,
+        "l": l,
+        "value": value,
+        "maximizing_sizes": sizes,
+        "star_size": star_a,
+        "unique_size": conclusion,
+        "star_forced": conclusion,
+    }
     report["conclusion_holds"] = conclusion
     if hypothesis["holds"]:
         report["label"] = "confirming" if conclusion else "refuting"

@@ -7,10 +7,11 @@ blocking pair beats the star pair once beta reaches the curve
     e_j(alpha) = 1 - (a^j (1-a) / (1 + a^j (1-a)))^(1/(j+1)),
 
 so the candidate region Delta is the part of Omega lying strictly below
-every e_j.  Membership is decided finitely: curves are checked one by one
-and the tail j > J is certified through the lower bound
-e_j >= 1 - (a^j (1-a))^(1/(j+1)), which increases to 1 - alpha and
-therefore eventually clears any beta with alpha + beta < 1.
+every e_j.  Membership is decided finitely, by one walk over the curves:
+it keeps their running minimum until the lower bound
+e_j >= 1 - (a^j (1-a))^(1/(j+1)), which increases to 1 - alpha, reaches
+it, so no later curve lies below.  Beta is then compared with that
+certified minimum alone; the walk stops by e_8 for alpha <= 0.49.
 
 The integer-side analogues C1 and C2 (exact rational evaluations) and the
 strengthened region Delta' defined by (2-a) b < 1 together with
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .exactarith import DEFAULT_TOL, _Frozen, binom, bisect, gen_binom
 
-#: Curves e_0 .. e_DEFAULT_J_CAP are checked one by one before the tail bound.
+#: The envelope walk gives up unless a tail floor by e_DEFAULT_J_CAP certifies it.
 DEFAULT_J_CAP = 64
 #: Largest window index i0 searches.
 DEFAULT_I_MAX = 1000
@@ -48,16 +49,13 @@ MAX_GRID = 10**5
 MAX_C2_N = 10**4
 
 
-def _below(lhs: float, rhs: float, what: str | None) -> bool | None:
+def _below(lhs: float, rhs: float, what: str) -> bool:
     """lhs < rhs under the near-boundary rule.
 
-    Inside the band it raises UndecidableAtTolerance naming `what`, or
-    returns None when `what` is None.
+    Inside the band it raises UndecidableAtTolerance naming `what`.
     """
     if abs(lhs - rhs) > DEFAULT_TOL * max(abs(lhs), abs(rhs)):
         return lhs < rhs
-    if what is None:
-        return None
     message = f"{what}: {lhs!r} vs {rhs!r}, within relative {DEFAULT_TOL}"
     raise UndecidableAtTolerance(message)
 
@@ -106,14 +104,36 @@ def boundary_condition(alpha: float, beta: float, j: int) -> bool:
     return _below(product, 1.0, f"boundary condition j = {j} at ({alpha}, {beta})")
 
 
+def _envelope(alpha: float) -> tuple[float, int, int]:
+    """Certified min over all j >= 0 of e_j(alpha), the first j attaining it,
+    and the j whose tail floor certified it.
+
+    The floor increases in j, so once it reaches the running minimum no
+    later curve can lie below that minimum.
+    """
+    if not 0 < alpha < 0.5:
+        raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
+    best, first = math.inf, 0
+    for j in range(DEFAULT_J_CAP + 1):
+        curve = e_j(alpha, j)
+        if curve < best:
+            best, first = curve, j
+        if _e_tail_floor(alpha, j) >= best:
+            return best, first, j
+    raise CertificationError(
+        f"minimum over e_j not certified for alpha={alpha} within j <= {DEFAULT_J_CAP}"
+    )
+
+
 def delta_report(alpha: float, beta: float) -> dict:
     """Detailed membership certificate for the region below every e_j.
 
-    Every curve up to DEFAULT_J_CAP is checked explicitly; the infinite
-    tail is then certified at the first uncovered index through the
-    increasing lower bound on e_j, or the call aborts if even that bound
-    cannot clear beta there.  A curve too close to beta leaves the point
-    undecidable unless a later curve is clearly violated.
+    Beta is compared with the certified minimum of the curves (see
+    `_envelope`): it lies below every e_j exactly when it lies below that
+    minimum.  checked_j counts the curves evaluated, tail_certified_at is
+    the j whose tail floor certified the minimum, min_margin is the
+    minimum minus beta, and violating_j, when beta is not below, is the
+    first curve attaining the minimum.
     """
     report = {
         "alpha": alpha,
@@ -127,28 +147,15 @@ def delta_report(alpha: float, beta: float) -> dict:
     }
     if not report["in_omega"]:
         return report
-    min_margin = math.inf
-    undecided = False
-    for j in range(DEFAULT_J_CAP + 1):
-        curve = e_j(alpha, j)
-        below = _below(beta, curve, None)
-        if below is False:
-            report.update(checked_j=j + 1, violating_j=j, min_margin=curve - beta)
-            return report
-        undecided = undecided or below is None
-        min_margin = min(min_margin, curve - beta)
-    tail = DEFAULT_J_CAP + 1
-    if _below(beta, _e_tail_floor(alpha, tail), None) is not True:
-        raise CertificationError(
-            f"tail not certified for ({alpha}, {beta}) at j = {tail}"
-        )
-    report.update(checked_j=tail, tail_certified_at=tail, min_margin=min_margin)
-    if undecided:
-        raise UndecidableAtTolerance(
-            f"({alpha}, {beta}) is within the near-boundary band of a curve e_j "
-            f"(minimum margin {min_margin})"
-        )
-    report["holds"] = True
+    value, first, certified = _envelope(alpha)
+    holds = _below(beta, value, f"Delta at ({alpha}, {beta})")
+    report.update(
+        holds=holds,
+        checked_j=certified + 1,
+        tail_certified_at=certified,
+        min_margin=value - beta,
+        violating_j=None if holds else first,
+    )
     return report
 
 
@@ -159,16 +166,7 @@ def in_delta(alpha: float, beta: float) -> bool:
 
 def delta_boundary(alpha: float) -> float:
     """Certified value of min over all j >= 0 of e_j(alpha)."""
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
-    best = math.inf
-    for j in range(DEFAULT_J_CAP + 1):
-        best = min(best, e_j(alpha, j))
-        if _e_tail_floor(alpha, j) >= best:
-            return best
-    raise CertificationError(
-        f"minimum over e_j not certified for alpha={alpha} within j <= {DEFAULT_J_CAP}"
-    )
+    return _envelope(alpha)[0]
 
 
 def _check_uniform_params(n: int, k: int, l: int) -> None:
@@ -399,9 +397,11 @@ def product_bound_condition(
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"point ({alpha}, {beta}) outside (0,1)^2")
     t = _KIND_PREFIX_TERMS[kind]
+    if t == 1 and epsilon not in (None, 0):
+        raise ValueError("kind C has no epsilon offset")
     if t > 1 and (epsilon is None or epsilon < t - 2):
         raise ValueError(f"kind {kind} needs an epsilon offset >= {t - 2}")
-    e = epsilon if t > 1 else 0
+    e = epsilon or 0
     ab, bb = 1.0 - alpha, 1.0 - beta
     la, lb = -math.log(alpha), -math.log1p(-beta)
     # the first factor as 1 - (1-b)^(i-2) + (1-b)^(i-2) b^(t-1): no cancellation

@@ -300,6 +300,19 @@ def reference_e_tail_floor(alpha, j):
         return 1 - ((a**j * (1 - a)).ln() / (j + 1)).exp()
 
 
+def reference_envelope(alpha):
+    """min over j >= 0 of e_j(alpha), walked until the tail floor reaches it.
+
+    The floor increases in j for alpha < 1/2, so no later curve lies below.
+    """
+    best = None
+    for j in itertools.count():
+        curve = reference_e(alpha, j)
+        best = curve if best is None else min(best, curve)
+        if reference_e_tail_floor(alpha, j) >= best:
+            return best
+
+
 def reference_delta_prime_sides(alpha, beta):
     """The linear test (2-a) b < 1, then the log test of Delta'."""
     a, b = Fraction(alpha), Fraction(beta)

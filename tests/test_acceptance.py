@@ -19,10 +19,10 @@ from crossint.cascade import (
 from crossint.exactarith import binom, binom_ratio
 from crossint.families import colex_masks, measure_aj, measure_bj
 from crossint.oracle import (
+    conjecture_scan,
     max_product_cascade,
     max_product_enumeration,
     measure_oracle,
-    uniqueness_check,
 )
 from crossint.regions import (
     condition_c1,
@@ -125,7 +125,7 @@ def test_criterion_04():
     result = max_product_cascade(20, 5, 11)
     assert result.value == 358_057_128 == binom(19, 4) * binom(19, 10)
     assert [w["a_size"] for w in result.witnesses] == [3876]
-    report = uniqueness_check(20, 5, 11)
+    report = conjecture_scan(20, 5, 11)["oracle"]
     assert report["unique_size"] and report["star_forced"]
 
 
@@ -163,8 +163,9 @@ def test_criterion_07():
     assert not in_delta(0.2, 0.6)
     report = delta_report(0.25, 0.55)
     assert report["holds"]
-    assert report["checked_j"] == 65  # every curve up to DEFAULT_J_CAP explicitly
-    assert report["tail_certified_at"] == 65
+    # e_0 .. e_2 are walked; the floor under e_2 certifies their minimum
+    assert report["checked_j"] == 3
+    assert report["tail_certified_at"] == 2
 
 
 @_criterion(8, "constants")

@@ -363,6 +363,38 @@ def test_scan_stream(capsys):
         assert 2 * report["l"] > report["n"]
 
 
+def test_scan_stdout_is_pinned(capsys):
+    # 14 rows of Omega', 3 confirming and 11 vacuous, byte for byte
+    code, out, _ = run(
+        capsys, "scan", "--n-range", "5", "9", "--k-range", "1", "3",
+        "--l-range", "3", "8",
+    )
+    assert code == 0
+    assert out == (GOLDEN / "scan_small.jsonl").read_text()
+
+
+@pytest.mark.parametrize(
+    "box, digest",
+    [
+        (
+            ["5", "20", "1", "8", "3", "19"],
+            "ba0e0461e0b2aae5b6954bfa25acb1020fbc2f157ccf656f5f9d864f831b692d",
+        ),
+        # j runs past regions.DEFAULT_J_CAP here, so tail_certified is false
+        (
+            ["130", "141", "1", "2", "66", "80"],
+            "b62335539e65bf1a8a06bfbc29b44f88a5cb2b0c8389883c570bdca9605c04cf",
+        ),
+    ],
+    ids=["240-rows", "uncertified-tail"],
+)
+def test_scan_stdout_digest_is_pinned(capsys, box, digest):
+    argv = ["scan", "--n-range", *box[:2], "--k-range", *box[2:4]]
+    code, out, _ = run(capsys, *argv, "--l-range", *box[4:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scan_empty_range(capsys):
     code, out, _ = run(
         capsys, "scan", "--n-range", "4", "4", "--k-range", "3", "3",
@@ -481,6 +513,8 @@ def test_family_roundtrip(tmp_path, capsys):
         # the header is refused before any member is read, so an element far
         # past the cap never becomes a bitmask of that many bits
         ("70 3\n1 2 71\n", "ground set size must be in [1, 64], got 70"),
+        # read as an empty family, it used to cross every family
+        ("5 0\n\n", "k = 0: a line of the text format cannot carry the empty set"),
     ],
     ids=[
         "out-of-range",
@@ -489,6 +523,7 @@ def test_family_roundtrip(tmp_path, capsys):
         "duplicate-member",
         "huge-ground-set",
         "ground-set-before-members",
+        "empty-set",
     ],
 )
 def test_malformed_family_file_is_a_usage_error(tmp_path, capsys, text, message):
@@ -568,6 +603,14 @@ def test_family_make_negative_size_is_a_usage_error(capsys, nk):
     code, out, err = run(capsys, "family", "make", "colex", *nk, "--size", "-1")
     assert (code, out) == (2, "")
     assert "m >= 0" in err
+
+
+def test_family_make_empty_set_is_a_usage_error(capsys):
+    # "5 0" and a blank line would read back as an empty family
+    for kind in (["colex", "--size", "1"], ["star"]):
+        code, out, err = run(capsys, "family", "make", *kind, "--n", "5", "--k", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 def test_family_cross_capacity_exit(tmp_path, capsys):

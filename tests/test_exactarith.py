@@ -134,7 +134,7 @@ TUNING_KWARGS = {
 def test_public_api_has_no_tuning_kwargs():
     # caps, tolerances and budgets are module constants, read when called
     checked = 0
-    assert len(crossint.__all__) == 65
+    assert len(crossint.__all__) == 64
     for name in crossint.__all__:
         obj = getattr(crossint, name)
         if not callable(obj):

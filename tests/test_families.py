@@ -251,6 +251,8 @@ MALFORMED_FAMILY_FILES = [
     ("6 3\n1 2 3\n2 4\n", "member of wrong size in uniform family"),
     ("6 3\n1 2 3\n3 1 2\n", "duplicate member"),
     ("6 3\n1 2 x\n", "invalid literal for int()"),
+    # the empty set would be a blank line, which the reader skips
+    ("5 0\n\n", "cannot carry the empty set"),
 ]
 
 

@@ -17,7 +17,6 @@ from crossint.oracle import (
     max_product_cascade,
     max_product_enumeration,
     measure_oracle,
-    uniqueness_check,
 )
 from crossint.regions import in_omega_prime
 
@@ -56,7 +55,7 @@ def test_cascade_budget():
     with pytest.raises(CapacityError, match="budget"):
         max_product_cascade(30, 15, 15)
     with pytest.raises(CapacityError):
-        uniqueness_check(30, 15, 14)
+        max_product_cascade(30, 15, 14)
 
 
 def test_cascade_matches_definition_brute_force():
@@ -149,26 +148,31 @@ def test_witness_b_sizes_bounded_in_integer_region():
                 ), (n, k, l)
 
 
+def _maximizing_sizes(n, k, l):
+    return [w["a_size"] for w in max_product_cascade(n, k, l).witnesses]
+
+
 def test_uniqueness_reports():
-    rep = uniqueness_check(20, 5, 11)
+    rep = conjecture_scan(20, 5, 11)["oracle"]
     assert rep["unique_size"] and rep["star_forced"]
-    rep = uniqueness_check(5, 1, 3)
+    rep = conjecture_scan(5, 1, 3)["oracle"]
     assert not rep["unique_size"]
     assert rep["maximizing_sizes"] == [1, 2]
     assert not max_product_enumeration(5, 1, 3).witnesses["all_stars"]
-    # odd ground sets beyond both thresholds force stars
+    # odd ground sets beyond both thresholds force stars: k + l < n there,
+    # so the star size alone maximizing forces the star structure
     for n, k, l in [(5, 2, 2), (7, 2, 3), (9, 3, 4)]:
         if n > 2 * max(k, l):
-            rep = uniqueness_check(n, k, l)
-            assert rep["star_forced"], (n, k, l)
+            assert k + l < n
+            assert _maximizing_sizes(n, k, l) == [binom(n - 1, k - 1)], (n, k, l)
             if binom(n, k) <= ENUMERATION_CAP:
                 assert max_product_enumeration(n, k, l).witnesses["all_stars"]
 
 
 def test_uniqueness_not_forced_at_half():
-    rep = uniqueness_check(4, 2, 2)
-    assert rep["unique_size"]
-    assert not rep["star_forced"]
+    # k + l = n: the star size is the only maximizing size, yet non-stars
+    # of that size are optimal too
+    assert _maximizing_sizes(4, 2, 2) == [binom(3, 1)]
     assert not max_product_enumeration(4, 2, 2).witnesses["all_stars"]
 
 

@@ -30,6 +30,7 @@ from crossint.regions import (
     cusp_constants,
     delta_boundary,
     delta_prime_boundary,
+    delta_report,
     delta_sample,
     e_crossing,
     e_j,
@@ -45,7 +46,7 @@ from support import (
     reference_boundary_sides,
     reference_delta_prime_sides,
     reference_e,
-    reference_e_tail_floor,
+    reference_envelope,
     reference_i0_sides,
     reference_root,
     reference_tail_bound_sides,
@@ -150,6 +151,45 @@ def test_in_delta_needs_enough_curves(monkeypatch):
     assert in_delta(0.499, 0.50062)
     # and a point between the envelope minimum and its late tail is rejected
     assert not in_delta(0.499, 0.50085)
+
+
+def test_in_delta_walks_at_most_nine_curves(monkeypatch):
+    calls = 0
+    curve = regions.e_j
+
+    def counting_e_j(alpha, j):
+        nonlocal calls
+        calls += 1
+        return curve(alpha, j)
+
+    monkeypatch.setattr(regions, "e_j", counting_e_j)
+    for alpha in [1e-300, 1e-9] + [i / 1000 for i in range(1, 491)]:
+        calls = 0
+        in_delta(alpha, 0.75 - alpha / 2)  # halfway up the slice of Omega
+        assert 1 <= calls <= 9, alpha
+
+
+def test_delta_report_reads_the_envelope():
+    rng = random.Random(53)
+    decided = 0
+    for _ in range(300):
+        alpha = rng.uniform(0.01, 0.49)
+        beta = rng.uniform(0.5, 1 - alpha)
+        if not in_omega(alpha, beta):
+            continue
+        with contextlib.suppress(UndecidableAtTolerance):
+            report = delta_report(alpha, beta)
+            decided += 1
+            assert report["min_margin"] + beta == delta_boundary(alpha)
+            assert report["holds"] == (report["min_margin"] > 0)
+            assert report["checked_j"] == report["tail_certified_at"] + 1
+            if report["holds"]:
+                assert report["violating_j"] is None
+            else:
+                j = report["violating_j"]
+                assert e_j(alpha, j) == delta_boundary(alpha)
+                assert all(e_j(alpha, i) > e_j(alpha, j) for i in range(j))
+    assert decided > 250
 
 
 def test_delta_boundary_values():
@@ -319,6 +359,18 @@ def test_product_bound_rejects_bad_input():
         ProductBound("B", 20, 5, 11, 3, 0)
 
 
+def test_window_condition_refuses_an_epsilon_for_kind_c():
+    # as ProductBound does: kind C has one prefix term and no offset
+    for epsilon in (7, 1, -1):
+        with pytest.raises(ValueError, match="kind C has no epsilon offset"):
+            product_bound_condition(0.3, 0.6, 3, epsilon, "C")
+        with pytest.raises(ValueError, match="kind C has no epsilon offset"):
+            ProductBound("C", 20, 5, 11, 3, epsilon)
+    assert product_bound_condition(0.3, 0.6, 3, 0, "C") == product_bound_condition(
+        0.3, 0.6, 3, None, "C"
+    )
+
+
 def test_accepted_points_stay_below_cusp():
     # any point below every curve in particular sits below min(e_0, e_1),
     # which never exceeds the cusp height
@@ -465,14 +517,9 @@ def test_verdicts_match_the_reference_outside_the_band(point, j, t, window):
     sides = reference_delta_prime_sides(alpha, beta)
     expected = all(lhs < rhs for lhs, rhs in sides)
     assert_matches(lambda: in_delta_prime(alpha, beta), sides, expected, point)
-    curves = [(beta, reference_e(alpha, j)) for j in range(regions.DEFAULT_J_CAP + 1)]
-    tail = (beta, reference_e_tail_floor(alpha, regions.DEFAULT_J_CAP + 1))
-    if any(b > curve for b, curve in curves) or tail[0] < tail[1]:
-        expected = not any(b > curve for b, curve in curves)
-        assert_matches(lambda: in_delta(alpha, beta), [*curves, tail], expected, point)
-    elif clear(*curves, tail):
-        with pytest.raises(CertificationError):
-            in_delta(alpha, beta)
+    envelope = reference_envelope(alpha)
+    sides = [(beta, envelope)]
+    assert_matches(lambda: in_delta(alpha, beta), sides, beta < envelope, point)
 
 
 @reference_settings
