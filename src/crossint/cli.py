@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -61,13 +60,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
-def _parse_finite(text: str) -> float:
+def _parse_bias(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"not a number in (0, 1): {text!r}")
     return value
 
 
@@ -97,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate named conditions")
     p.add_argument("nkl", nargs="*", type=int, metavar="N K L")
-    p.add_argument("--alpha", type=_parse_finite)
-    p.add_argument("--beta", type=_parse_finite)
+    p.add_argument("--alpha", type=_parse_bias)
+    p.add_argument("--beta", type=_parse_bias)
     p.add_argument(
         "--conditions",
         required=True,

@@ -7,10 +7,14 @@ upper bound for every cross-intersecting pair, and complementing a colex
 segment attains it, so the sweep maximum is exactly M(n,k,l).  The sweep
 alone decides every reported maximum and, through its witness list, every
 scan verdict on whether stars are the unique optimum.
-The enumeration oracle instead walks every subset of the k-layer and pairs
-it with the largest compatible second family; exponential, but free of any
-shadow reasoning, so it is an independent cross-check of the sweep, run
-only by `mnkl --method enum|both` and by the tests.
+The enumeration oracle instead scores every subset of the k-layer against
+the largest compatible second family; exponential, but free of any shadow
+reasoning, so it is an independent cross-check of the sweep, run only by
+`mnkl --method enum|both` and by the tests.  It needs only the standard
+library: it counts each l-set under the mask of k-sets it meets, then
+takes superset sums over 2^C(n,k) 32-bit lanes packed 4096 to a Python
+int, shifting and masking inside each int for the low 12 index bits and
+adding whole ints for the rest.
 
 Measure side.  The search space shrinks losslessly to up-closed
 (monotone) families: up-closing the first family preserves
@@ -39,7 +43,11 @@ large to print before they are multiplied.
 from __future__ import annotations
 
 import sys
+from array import array
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import Any, Iterator, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
@@ -58,6 +66,8 @@ from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
 #: Most first-family sizes the cascade sweep walks; about 75 s of sweeping.
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
+#: The enumeration oracle packs 2^_CHUNK_BITS 32-bit lanes into each int.
+_CHUNK_BITS = 12
 MEASURE_CAP = 6
 WITNESS_CAP = 64
 
@@ -182,9 +192,10 @@ def achieving_pair(n: int, k: int, l: int, m: int) -> tuple[UniformFamily, Unifo
 def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     """M(n, k, l) by exhausting all 2^C(n,k) first families.
 
-    For each subset of the k-layer, the best second family is every l-set
-    meeting all chosen members.  Witness structure is summarized (count,
-    sizes, whether only stars attain the maximum).
+    For each subset S of the k-layer, the best second family is every
+    l-set meeting all chosen members, g(S) of them, and the oracle
+    maximizes |S| * g(S).  Witness structure is summarized (count, sizes,
+    whether only stars attain the maximum).
     """
     _check_uniform_params(n, k, l)
     params = {"n": n, "k": k, "l": l}
@@ -199,42 +210,73 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
     if binom_exceeds(n, k, ENUMERATION_CAP):
         raise CapacityError(f"C({n},{k}) exceeds enumeration cap {ENUMERATION_CAP}")
     nk = binom(n, k)
-    # imported here, its only use, so the CLI starts without numpy
-    import numpy as np
-
-    ksets = list(colex_masks(n, k))
-    size = 1 << nk
-    cnt = np.zeros(size, dtype=np.int32)
-    for bset in colex_masks(n, l):
-        meets = 0
-        for idx, kset in enumerate(ksets):
-            if kset & bset:
-                meets |= 1 << idx
-        cnt[meets] += 1
-    # superset-sum: g[S] = number of l-sets meeting every k-set indexed by S
-    g = cnt
-    for idx in range(nk):
-        half = 1 << idx
-        view = g.reshape(-1, 2, half)
-        view[:, 0, :] += view[:, 1, :]
-    popcnt = np.zeros(1, dtype=np.int32)
-    for _ in range(nk):
-        popcnt = np.concatenate([popcnt, popcnt + 1])
-    values = popcnt.astype(np.int64) * g.astype(np.int64)
-    best = int(values.max())
-    argmax = np.nonzero(values == best)[0]
-    sizes = sorted({int(popcnt[i]) for i in argmax})
-    star_masks = set()
-    for e in range(1, n + 1):
-        bit = 1 << (e - 1)
-        star_masks.add(
-            sum(1 << idx for idx, kset in enumerate(ksets) if kset & bit)
+    # stars[e]: bit i set when the i-th k-set contains element e, so the
+    # k-sets an l-set meets are the OR of its elements' stars
+    stars = [0] * n
+    for idx, kset in enumerate(colex_masks(n, k)):
+        for e in elements_of(kset):
+            stars[e - 1] |= 1 << idx
+    counts = array("I", [0]) * (1 << nk)
+    for chosen in combinations(stars, l):
+        counts[reduce(or_, chosen)] += 1
+    # g[S] = number of l-sets meeting every k-set indexed by S, the sum of
+    # counts over supersets of S.  Lane j of chunks[c] holds index
+    # (c << low) + j, and clear[b] keeps the lanes whose index has bit b
+    # clear.  No sum carries out of a lane: every lane stays below
+    # C(n,k) * C(n,l) < 2^31 here, scores included.
+    low = min(nk, _CHUNK_BITS)
+    width = 4 << low
+    clear = [
+        int.from_bytes(
+            (b"\xff" * (4 << b) + bytes(4 << b)) * (1 << (low - b - 1)), "little"
         )
-    arg_set = {int(s) for s in argmax}
+        for b in range(low)
+    ]
+    if sys.byteorder == "big":
+        counts.byteswap()
+    view = memoryview(counts).cast("B")
+    chunks = []
+    for at in range(0, len(view), width):
+        chunk = int.from_bytes(view[at : at + width], "little")
+        for b, mask in enumerate(clear):
+            chunk += chunk >> (32 << b) & mask
+        chunks.append(chunk)
+    view.release()
+    del counts
+    for b in range(nk - low):
+        bit = 1 << b
+        for c in range(len(chunks)):
+            if not c & bit:
+                chunks[c] += chunks[c | bit]
+    # score |S| * g[S]: the chunk index's popcount times the chunk, plus the
+    # chunk once for each low index bit a lane has set.  Bit 31 of a lane of
+    # (score | flags) - t * ones is set exactly when the lane holds at least t.
+    sets = [mask << (32 << b) for b, mask in enumerate(clear)]
+    ones = int.from_bytes(b"\1\0\0\0" * (1 << low), "little")
+    flags = ones << 31
+    star_set = set(stars)
+    best, count, sizes, all_stars = -1, 0, set(), True
+    for c, chunk in enumerate(chunks):
+        score = c.bit_count() * chunk + sum(chunk & mask for mask in sets)
+        above = (score | flags) - (best + 1) * ones & flags
+        if not above and not (score | flags) - best * ones & flags:
+            continue
+        lanes = array("I", score.to_bytes(width, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        if above:
+            best, count, sizes, all_stars = max(lanes), 0, set(), True
+        j = -1
+        for _ in range(lanes.count(best)):
+            j = lanes.index(best, j + 1)
+            index = (c << low) + j
+            count += 1
+            sizes.add(index.bit_count())
+            all_stars = all_stars and index in star_set
     witnesses: dict[str, Any] = {
-        "optimal_count": len(argmax),
-        "optimal_sizes": sizes,
-        "all_stars": arg_set <= star_masks,
+        "optimal_count": count,
+        "optimal_sizes": sorted(sizes),
+        "all_stars": all_stars,
     }
     return OracleResult(best, witnesses, "enumeration", params)
 

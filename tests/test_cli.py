@@ -209,6 +209,34 @@ def test_check_non_finite_point_is_a_usage_error(capsys, point):
     assert "number" in err
 
 
+@pytest.mark.parametrize("conditions", ["delta", "delta-prime", "claims"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        ("-1", "0.5"), ("0", "0.6"), ("1", "0.5"),
+        ("0.25", "0"), ("0.25", "1"), ("0.3", "1.5"),
+    ],
+)
+def test_check_bias_outside_the_unit_interval_is_a_usage_error(capsys, conditions, point):
+    alpha, beta = point
+    code, out, err = run(
+        capsys, "check", "--alpha", alpha, "--beta", beta, "--conditions", conditions
+    )
+    assert (code, out) == (2, "")
+    assert "(0, 1)" in err
+
+
+def test_check_points_inside_the_square_keep_their_verdicts(capsys):
+    # outside Omega but inside the square: a verdict, not a usage error
+    for conditions in ("delta", "delta-prime"):
+        code, out, _ = run(
+            capsys, "check", "--alpha", "0.7", "--beta", "0.5",
+            "--conditions", conditions,
+        )
+        assert code == 1
+        assert json.loads(out)["conditions"][conditions] is False
+
+
 def test_measure_command(capsys):
     code, out, _ = run(capsys, "measure", "4", "--alpha", "1/4", "--beta", "11/20")
     assert code == 0
@@ -317,6 +345,22 @@ def test_scan_leaves_numpy_unloaded():
     assert _heavy_modules_after(scan) == "[]"
 
 
+def test_mnkl_both_runs_where_numpy_cannot_be_imported():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; sys.modules['numpy'] = None; import crossint.cli; "
+        "sys.exit(crossint.cli.main(['mnkl', '6', '2', '3', '--method', 'both']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["agree"] is True
+
+
 SUBMODULES = ("cascade", "cli", "errors", "exactarith", "families", "oracle", "regions")
 
 
@@ -332,9 +376,11 @@ def test_commands_import_only_what_they_use():
     assert _loaded_after(command.format(check), unused) == "['crossint.regions']"
     family = ["family", "make", "star", "--n", "6", "--k", "2"]
     assert _loaded_after(command.format(family), unused) == "['crossint.families']"
-    # mnkl loads every module, and still neither dataclasses nor inspect
-    loaded = _loaded_after(command.format(["mnkl", "6", "2", "3"]), unused)
-    assert loaded == str(list(unused[3:]))
+    # mnkl loads every module, and still neither dataclasses, inspect nor
+    # numpy, with the enumeration oracle or without it
+    for method in ("cascade", "both"):
+        mnkl = ["mnkl", "6", "2", "3", "--method", method]
+        assert _loaded_after(command.format(mnkl), unused) == str(list(unused[3:]))
     # every public name is the object its submodule holds
     modules = [importlib.import_module(f"crossint.{name}") for name in SUBMODULES]
     for name in crossint.__all__:

@@ -1,6 +1,8 @@
 import json
 import sys
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,47 @@ def test_oracles_agree_on_a_slice():
                 enum = max_product_enumeration(n, k, l)
                 sweep = max_product_cascade(n, k, l)
                 assert enum.value == sweep.value, (n, k, l)
+
+
+def test_enumeration_reports_are_pinned():
+    # captured from the numpy enumeration oracle: every 2 <= n <= 7, every k
+    # with C(n, k) <= 21 and every 1 <= l <= n - 1, witnesses included
+    golden = Path(__file__).resolve().parent / "golden" / "enumeration.jsonl"
+    rows = [json.loads(line) for line in golden.read_text().splitlines()]
+    assert len(rows) == 79
+    for row in rows:
+        got = max_product_enumeration(row["n"], row["k"], row["l"]).to_dict()
+        assert got == row, row
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_enumeration_spans_several_chunks_at_k1(n):
+    # k = 1: a first family of s singletons leaves C(n - s, l - s) l-sets,
+    # and 2^n lanes fill 2^(n - 12) chunks
+    for l in range(1, n):
+        products = {s: s * binom(n - s, l - s) for s in range(1, l + 1)}
+        best = max(products.values())
+        sizes = [s for s in sorted(products) if products[s] == best]
+        res = max_product_enumeration(n, 1, l)
+        assert res.value == best, (n, l)
+        assert res.witnesses == {
+            "optimal_count": sum(binom(n, s) for s in sizes),
+            "optimal_sizes": sizes,
+            "all_stars": sizes == [1],
+        }, (n, l)
+
+
+def test_enumeration_lanes_hold_every_score():
+    # a lane holds |S| * g(S) <= C(n,k) * C(n,l), and bit 31 of each lane
+    # must stay free for the threshold test
+    assert array("I").itemsize == 4
+    largest = 0
+    for n in range(2, ENUMERATION_CAP + 1):
+        for k in range(1, n):
+            if binom(n, k) <= ENUMERATION_CAP:
+                for l in range(1, n - k + 1):
+                    largest = max(largest, binom(n, k) * binom(n, l))
+    assert largest == 24 * binom(24, 12) < 2**31
 
 
 def test_achieving_pair_realizes_witnesses():
