@@ -13,26 +13,23 @@ _EXPORTS = {
     ),
     "errors": (
         "BracketingError", "CapacityError", "CertificationError", "CrossIntError",
-        "InvalidTruncationError", "NonBinomialSizeError", "NotFoundError",
-        "UndecidableAtTolerance",
+        "InvalidTruncationError", "NotFoundError", "UndecidableAtTolerance",
     ),
     "exactarith": ("DEFAULT_TOL", "binom", "binom_ratio", "gen_binom", "solve_binom_x"),
     "families": (
-        "GeneralFamily", "UniformFamily", "a_family_measure", "a_family_uniform",
-        "b_family_measure", "b_family_uniform", "colex_segment", "complement_family",
-        "from_text", "is_cross_intersecting", "is_shadow_tight", "lift", "measure",
-        "measure_aj", "measure_bj", "shadow", "star_uniform", "to_text",
+        "UniformFamily", "a_family_uniform", "b_family_uniform", "colex_segment",
+        "from_text", "is_cross_intersecting", "measure_aj", "measure_bj",
+        "star_uniform", "to_text",
     ),
     "oracle": (
-        "OracleResult", "achieving_pair", "conjecture_scan", "max_product_cascade",
+        "OracleResult", "conjecture_scan", "max_product_cascade",
         "max_product_enumeration", "measure_oracle",
     ),
     "regions": (
-        "ProductBound", "boundary_condition", "condition_c1", "condition_c2",
-        "curve_samples", "cusp_constants", "delta_boundary", "delta_prime_boundary",
-        "delta_report", "delta_sample", "e_crossing", "e_j", "i0", "in_delta",
-        "in_delta_prime", "in_omega", "in_omega_prime", "product_bound_condition",
-        "tail_bound",
+        "condition_c1", "condition_c2", "curve_samples", "cusp_constants",
+        "delta_boundary", "delta_prime_boundary", "delta_report", "delta_sample",
+        "e_crossing", "e_j", "i0", "in_delta", "in_delta_prime", "in_omega",
+        "in_omega_prime", "product_bound_condition", "tail_bound",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

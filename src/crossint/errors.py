@@ -17,10 +17,6 @@ class InvalidTruncationError(CrossIntError):
     """The requested truncation point does not exist for this cascade form."""
 
 
-class NonBinomialSizeError(CrossIntError):
-    """Family size is not of the form C(a, u); the tightness test is undefined."""
-
-
 class UndecidableAtTolerance(CrossIntError):
     """A strict comparison fell inside the floating comparison tolerance."""
 

@@ -1,4 +1,5 @@
-"""Explicit set families on [n]: constructors, measures, serialization.
+"""Explicit uniform families on [n]: constructors, serialization, and the
+closed-form measures of the blocking pairs.
 
 Subsets of [n] = {1, ..., n} are bitmasks (element e is bit e-1), one
 machine word per set; ground sets larger than 64 are rejected since all
@@ -16,11 +17,10 @@ boundary-region calculus is about when that happens.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
-from .errors import CapacityError, NonBinomialSizeError
+from .errors import CapacityError
 from .exactarith import _Frozen, binom
 
 MAX_GROUND_SET = 64
@@ -89,28 +89,6 @@ class UniformFamily(_Frozen):
         return [elements_of(m) for m in self.members]
 
 
-class GeneralFamily(_Frozen):
-    """A family of arbitrary subsets of [n], members stored as bitmasks."""
-
-    __slots__ = ("n", "members")
-
-    def __init__(self, n: int, members: tuple[int, ...]) -> None:
-        self._set_fields(n, members)
-        _check_ground(self.n)
-        full = (1 << self.n) - 1
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate member")
-        for m in self.members:
-            if m & ~full:
-                raise ValueError("member outside the ground set")
-
-    __len__ = UniformFamily.__len__
-    sets = UniformFamily.sets
-
-
-AnyFamily = Union[UniformFamily, GeneralFamily]
-
-
 def colex_masks(n: int, u: int) -> Iterator[int]:
     """All u-subsets of [n] as bitmasks in colexicographic order."""
     if u == 0:
@@ -138,49 +116,6 @@ def colex_segment(m: int, u: int, n: int) -> UniformFamily:
             break
         out.append(mask)
     return UniformFamily(n, u, tuple(out))
-
-
-def full_layer(n: int, u: int) -> UniformFamily:
-    return colex_segment(binom(n, u), u, n)
-
-
-def shadow(fam: UniformFamily, v: int) -> UniformFamily:
-    """All v-sets contained in some member; v = k returns the family itself."""
-    if not 0 < v <= fam.k:
-        raise ValueError(f"need 0 < v <= k, got v={v}, k={fam.k}")
-    cur = set(fam.members)
-    for _ in range(fam.k - v):
-        nxt = set()
-        for mask in cur:
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                nxt.add(mask ^ bit)
-                rest ^= bit
-        cur = nxt
-    return UniformFamily(fam.n, v, tuple(sorted(cur)))
-
-
-def complement_family(fam: UniformFamily) -> UniformFamily:
-    """Member-wise complement within [n]; involutive."""
-    full = (1 << fam.n) - 1
-    return UniformFamily(fam.n, fam.n - fam.k, tuple(full ^ m for m in fam.members))
-
-
-def is_shadow_tight(fam: UniformFamily, v: int) -> bool:
-    """Whether |shadow| meets the binomial floor C(a, v) for |F| = C(a, k).
-
-    By Katona's equality condition (0 < v < k) this holds exactly when the
-    family is a full k-layer on some a-element subset of the ground set.
-    """
-    size = len(fam.members)
-    u = fam.k
-    a = u
-    while binom(a, u) < size:
-        a += 1
-    if binom(a, u) != size or size == 0:
-        raise NonBinomialSizeError(f"|F| = {size} is not C(a, {u}) for any a")
-    return len(shadow(fam, v)) == binom(a, v)
 
 
 def star_uniform(n: int, k: int, center: int) -> UniformFamily:
@@ -231,27 +166,7 @@ def b_family_uniform(n: int, l: int, j: int) -> UniformFamily:
     return UniformFamily(n, l, tuple(members))
 
 
-def a_family_measure(n: int, j: int) -> GeneralFamily:
-    """Non-uniform version of a_family_uniform, over all of 2^[n]."""
-    if j < 0 or j + 2 > n:
-        raise ValueError(f"need 0 <= j <= n-2, got j={j}, n={n}")
-    prefix, block = _prefix_block(n, j)
-    members = [
-        s for s in range(1 << n) if (s & 1) or (s & prefix) == block
-    ]
-    return GeneralFamily(n, tuple(members))
-
-
-def b_family_measure(n: int, j: int) -> GeneralFamily:
-    """Non-uniform version of b_family_uniform, over all of 2^[n]."""
-    if j < 0 or j + 2 > n:
-        raise ValueError(f"need 0 <= j <= n-2, got j={j}, n={n}")
-    prefix, _ = _prefix_block(n, j)
-    members = [s for s in range(1 << n) if (s & 1) and (s & prefix) != 1]
-    return GeneralFamily(n, tuple(members))
-
-
-def is_cross_intersecting(fam_a: AnyFamily, fam_b: AnyFamily) -> bool:
+def is_cross_intersecting(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
     """True iff every member of the first family meets every member of the second."""
     if fam_a.n != fam_b.n:
         raise ValueError("families live on different ground sets")
@@ -264,19 +179,6 @@ def is_cross_intersecting(fam_a: AnyFamily, fam_b: AnyFamily) -> bool:
             if not a & b:
                 return False
     return True
-
-
-def measure(fam: AnyFamily, p: Fraction) -> Fraction:
-    """Biased measure: sum over members of p^|F| (1-p)^(n-|F|), exact."""
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError(f"bias must satisfy 0 < p < 1, got {p}")
-    q = 1 - p
-    counts = Counter(m.bit_count() for m in fam.members)
-    return sum(
-        (c * p**size * q ** (fam.n - size) for size, c in counts.items()),
-        start=Fraction(0),
-    )
 
 
 def measure_aj(alpha: float | Fraction, j: int) -> float | Fraction:
@@ -297,20 +199,6 @@ def measure_bj(beta: float | Fraction, j: int) -> float | Fraction:
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     return beta - beta * (1 - beta) ** (j + 1)
-
-
-def lift(fam: GeneralFamily) -> GeneralFamily:
-    """Embed into [n+1] by doubling each member with and without n+1.
-
-    Preserves every biased measure exactly, which is why the measure
-    maximum is monotone nondecreasing in the ground set size.
-    """
-    bit = 1 << fam.n
-    members = []
-    for m in fam.members:
-        members.append(m)
-        members.append(m | bit)
-    return GeneralFamily(fam.n + 1, tuple(members))
 
 
 def _check_text_k(k: int) -> None:

@@ -53,14 +53,7 @@ from typing import Any, Iterator, Union
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
 from .exactarith import _Record, binom, binom_exceeds, exact_text
-from .families import (
-    UniformFamily,
-    colex_masks,
-    colex_segment,
-    complement_family,
-    elements_of,
-    shadow,
-)
+from .families import colex_masks, elements_of
 from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
 
 #: Most first-family sizes the cascade sweep walks; about 75 s of sweeping.
@@ -174,19 +167,6 @@ def max_product_cascade(n: int, k: int, l: int) -> OracleResult:
         "cascade",
         params,
     )
-
-
-def achieving_pair(n: int, k: int, l: int, m: int) -> tuple[UniformFamily, UniformFamily]:
-    """The colex construction attaining kk_cross_bound for first-family size m."""
-    bound = kk_cross_bound(n, k, l, m)
-    segment = colex_segment(m, n - k, n)
-    fam_a = complement_family(segment)
-    forbidden = set(shadow(segment, l).members) if l < n - k else set(segment.members)
-    fam_b = UniformFamily(
-        n, l, tuple(b for b in colex_masks(n, l) if b not in forbidden)
-    )
-    assert len(fam_b) == bound
-    return fam_a, fam_b
 
 
 def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:

@@ -15,9 +15,9 @@ certified minimum alone; the walk stops by e_8 for alpha <= 0.49.
 
 The integer-side analogues C1 and C2 (exact rational evaluations) and the
 strengthened region Delta' defined by (2-a) b < 1 together with
-(1-a) log(1/(1-b)) < (1-b) log(1/a) live here too, as do the window
-product bounds used to compare size products against the star product
-over ranges of first-family sizes.
+(1-a) log(1/(1-b)) < (1-b) log(1/a) live here too, as do the asymptotic
+conditions under which a window of first-family sizes keeps its size
+product below the star product.
 
 Every verdict on computed floats goes through one near-boundary rule,
 `_below`: lhs < rhs is decided only when |lhs - rhs| > DEFAULT_TOL *
@@ -36,7 +36,7 @@ from .errors import (
     NotFoundError,
     UndecidableAtTolerance,
 )
-from .exactarith import DEFAULT_TOL, _Frozen, binom, bisect, gen_binom
+from .exactarith import DEFAULT_TOL, bisect
 
 #: The envelope walk gives up unless a tail floor by e_DEFAULT_J_CAP certifies it.
 DEFAULT_J_CAP = 64
@@ -88,20 +88,6 @@ def e_j(alpha: float, j: int) -> float:
 def _e_tail_floor(alpha: float, j: int) -> float:
     """Lower bound 1 - (a^j (1-a))^(1/(j+1)) <= e_j, increasing to 1 - alpha."""
     return 1.0 - math.exp((j * math.log(alpha) + math.log1p(-alpha)) / (j + 1))
-
-
-def boundary_condition(alpha: float, beta: float, j: int) -> bool:
-    """Strict inequality (1 + (1-a) a^j)(1 - (1-b)^(j+1)) < 1.
-
-    Equivalent to the j-th blocking measure product lying below alpha*beta,
-    and to beta < e_j(alpha).
-    """
-    if not (0 < alpha < 1 and 0 < beta < 1):
-        raise ValueError(f"point ({alpha}, {beta}) outside (0,1)^2")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
-    product = (1.0 + (1.0 - alpha) * alpha**j) * (1.0 - (1.0 - beta) ** (j + 1))
-    return _below(product, 1.0, f"boundary condition j = {j} at ({alpha}, {beta})")
 
 
 def _envelope(alpha: float) -> tuple[float, int, int]:
@@ -289,90 +275,10 @@ def i0(alpha: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Window product bounds
+# Window conditions
 # ---------------------------------------------------------------------------
 
 _KIND_PREFIX_TERMS = {"C": 1, "A": 2, "B": 3}
-
-
-class ProductBound(_Frozen):
-    """Product polynomial (X + C(x, p)) (Y - C(x, q)) over a size window.
-
-    X sums the first 1 ("C"), 2 ("A"), or 3 ("B") cascade digits of the
-    first family's size, with the window index i placing the second digit
-    at C(n-i, n-k-1); Y is the matching upper bound for the second family.
-    x parameterizes sizes within the window, running from one below the
-    x-term's level up to n - i - epsilon.
-    """
-
-    __slots__ = ("kind", "n", "k", "l", "i", "epsilon")
-
-    def __init__(
-        self, kind: str, n: int, k: int, l: int, i: int, epsilon: int = 0
-    ) -> None:
-        self._set_fields(kind, n, k, l, i, epsilon)
-        if self.kind not in _KIND_PREFIX_TERMS:
-            raise ValueError(f"kind must be one of A, B, C; got {self.kind!r}")
-        if self.i < 2:
-            raise ValueError(f"need i >= 2, got {self.i}")
-        if self.kind == "C" and self.epsilon != 0:
-            raise ValueError("kind C has no epsilon offset")
-        if self.kind == "B" and self.epsilon < 1:
-            raise ValueError("kind B needs epsilon >= 1")
-        if self.epsilon < 0:
-            raise ValueError(f"need epsilon >= 0, got {self.epsilon}")
-
-    @property
-    def x_level_first(self) -> int:
-        return self.n - self.k - _KIND_PREFIX_TERMS[self.kind]
-
-    @property
-    def x_level_second(self) -> int:
-        return self.l - _KIND_PREFIX_TERMS[self.kind]
-
-    @property
-    def X(self) -> int:
-        n, k, i = self.n, self.k, self.i
-        total = binom(n - 1, n - k)
-        if self.kind in ("A", "B"):
-            total += binom(n - i, n - k - 1)
-        if self.kind == "B":
-            total += binom(n - i - 1, n - k - 2)
-        return total
-
-    @property
-    def Y(self) -> int:
-        n, l, i = self.n, self.l, self.i
-        total = binom(n - 1, l - 1)
-        if self.kind in ("A", "B"):
-            total -= binom(n - i, l - 1)
-        if self.kind == "B":
-            total -= binom(n - i - 1, l - 2)
-        return total
-
-    @property
-    def x_range(self) -> tuple[float, float]:
-        return (
-            float(self.x_level_first - 1),
-            float(self.n - self.i - self.epsilon),
-        )
-
-    def at(self, x: float) -> float:
-        """Evaluate the product; integral x is computed exactly first."""
-        lo, hi = self.x_range
-        if not lo - 1e-9 <= x <= hi + 1e-9:
-            raise ValueError(f"x = {x} outside window [{lo}, {hi}]")
-        if float(x).is_integer():
-            xi = int(x)
-            first = self.X + binom(xi, self.x_level_first)
-            second = self.Y - binom(xi, self.x_level_second)
-            try:
-                return float(first * second)
-            except OverflowError:
-                pass
-        return (self.X + gen_binom(x, self.x_level_first)) * (
-            self.Y - gen_binom(x, self.x_level_second)
-        )
 
 
 def product_bound_condition(
@@ -384,8 +290,12 @@ def product_bound_condition(
 ) -> bool:
     """Asymptotic sufficient condition for the window bound to stay below its cap.
 
-    When it holds, the window product never exceeds max(XY, value at the
-    right endpoint) for large n.  With t = 1, 2, 3 prefix terms for kinds
+    The window product is (X + C(x, n-k-t)) (Y - C(x, l-t)): X sums the
+    first t cascade digits of the first family's size, the window index i
+    placing the second at C(n-i, n-k-1), Y is the matching second-family
+    bound, and x runs up to n - i - e.  When the condition holds, that
+    product never exceeds max(XY, value at the right endpoint) for large
+    n.  With t = 1, 2, 3 prefix terms for kinds
     C, A, B, e = 0 for C, la = log(1/a) and lb = log(1/(1-b)), it reads
     (1 - (1-b)^(i-1) (1 + b + ... + b^(t-2))) lb (1-a)^t a^(i-t+e) <
     (1 + a^(i-2) ((1-a) + ... + (1-a)^(t-1))) la a b^(t-1) (1-b)^(i-t+e).

@@ -7,7 +7,9 @@ exceptions are searches the package used to run: reference_sweep takes
 the shadow bound of each size from that size's own cascade form,
 independently of the incremental bound kept by the production sweep, and
 reference_measure_search finds the measure optima by branch and bound
-over up-closed families, with no layer profiles.  The region references
+over up-closed families, with no layer profiles.  window writes out, digit
+by digit, the size windows that the window conditions of regions are
+about.  The region references
 at the end evaluate each side of a predicate's comparison at 50 digits
 instead of in doubles.
 """
@@ -84,27 +86,73 @@ def brute_max_product(n, k, l):
     return best
 
 
+def brute_measure(masks, n, p):
+    """Biased measure of a family of masks: the sum of p^|S| (1-p)^(n-|S|)."""
+    p = Fraction(p)
+    return sum(
+        (p ** bin(s).count("1") * (1 - p) ** (n - bin(s).count("1")) for s in masks),
+        Fraction(0),
+    )
+
+
 def brute_measure_product(n, alpha, beta):
     """Measure maximum over all cross-intersecting pairs of families, n <= 3.
 
     Completely assumption-free: enumerates both families over all
     2^(2^n) subsets of the power set.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
     subsets = list(range(1 << n))
-
-    def mu(members, p):
-        return sum(
-            p ** bin(s).count("1") * (1 - p) ** (n - bin(s).count("1"))
-            for s in members
-        )
-
     best = Fraction(0)
     for bits_a in range(1, 1 << len(subsets)):
         fam_a = [s for i, s in enumerate(subsets) if bits_a >> i & 1]
         fam_b = [t for t in subsets if all(t & s for s in fam_a)]
-        best = max(best, mu(fam_a, alpha) * mu(fam_b, beta))
+        best = max(best, brute_measure(fam_a, n, alpha) * brute_measure(fam_b, n, beta))
     return best
+
+
+def blocking_measure_pair(n, j):
+    """The j-th blocking pair over all of 2^[n], as two lists of masks.
+
+    The first family is every set that contains 1 or meets [j+2] in
+    exactly [j+2] minus 1; the second is every set that contains 1 and
+    meets [j+2] in more than 1.
+    """
+    prefix = (1 << (j + 2)) - 1
+    sets = range(1 << n)
+    return (
+        [s for s in sets if s & 1 or s & prefix == prefix - 1],
+        [s for s in sets if s & 1 and s & prefix != 1],
+    )
+
+
+def achieving_pair(n, k, l, m):
+    """The colex pair for first-family size m, as two lists of frozensets.
+
+    The first family is the complements of the first m (n-k)-sets in colex
+    order; the second is every l-set outside the l-shadow of those
+    (n-k)-sets, which for l = n-k is the sets themselves.
+    """
+    ground = frozenset(range(1, n + 1))
+    segment = [frozenset(s) for s in colex_sorted_subsets(n, n - k)[:m]]
+    forbidden = brute_shadow(segment, l)
+    lsets = map(frozenset, itertools.combinations(sorted(ground), l))
+    return [ground - s for s in segment], [b for b in lsets if b not in forbidden]
+
+
+def window(kind, n, k, l, i, epsilon):
+    """X, Y, the two x levels and the integer x range of one size window.
+
+    Kinds C, A and B take t = 1, 2, 3 prefix terms.  X sums the first t
+    cascade digits of the first family's size, the second at
+    C(n-i, n-k-1); Y is the matching bound on the second family.  Over
+    the window the size product is (X + C(x, n-k-t)) (Y - C(x, l-t)).
+    """
+    t = {"C": 1, "A": 2, "B": 3}[kind]
+    digits = [(n - 1, n - k, l - 1), (n - i, n - k - 1, l - 1), (n - i - 1, n - k - 2, l - 2)]
+    digits = digits[:t]
+    x_sum = sum(math.comb(a, u) for a, u, _ in digits)
+    y_sum = math.comb(n - 1, l - 1) - sum(math.comb(a, v) for a, _, v in digits[1:])
+    return x_sum, y_sum, n - k - t, l - t, range(n - k - t, n - i - epsilon + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,11 +182,6 @@ def reference_measure_optima(n, alpha, beta):
     """
     full = (1 << n) - 1
 
-    def mu(fam, p):
-        return sum(
-            p ** bin(m).count("1") * (1 - p) ** (n - bin(m).count("1")) for m in fam
-        )
-
     def minimal(fam):
         return frozenset(
             frozenset(e + 1 for e in range(n) if m >> e & 1)
@@ -146,11 +189,10 @@ def reference_measure_optima(n, alpha, beta):
             if not any(t != m and t & m == t for t in fam)
         )
 
-    alpha, beta = Fraction(alpha), Fraction(beta)
     best, optima = None, []
     for fam_a in up_closed_families(n):
         fam_b = frozenset(t for t in range(full + 1) if full ^ t not in fam_a)
-        value = mu(fam_a, alpha) * mu(fam_b, beta)
+        value = brute_measure(fam_a, n, alpha) * brute_measure(fam_b, n, beta)
         if best is None or value > best:
             best, optima = value, [(fam_a, fam_b)]
         elif value == best:

@@ -19,7 +19,12 @@ from crossint.errors import InvalidTruncationError
 from crossint.exactarith import binom, gen_binom
 from crossint.families import colex_segment
 
-from support import all_cascade_sequences, brute_shadow, colex_sorted_subsets
+from support import (
+    achieving_pair,
+    all_cascade_sequences,
+    brute_shadow,
+    colex_sorted_subsets,
+)
 
 
 def test_decompose_examples():
@@ -195,9 +200,6 @@ def test_kk_cross_bound_examples():
 
 def test_kk_cross_bound_is_attained():
     # complements of a colex segment plus everything outside its shadow meet the bound
-    from crossint.families import is_cross_intersecting
-    from crossint.oracle import achieving_pair
-
     rng = random.Random(17)
     for trial in range(60):
         n = rng.randint(4, 10)
@@ -207,4 +209,4 @@ def test_kk_cross_bound_is_attained():
         fam_a, fam_b = achieving_pair(n, k, l, m)
         assert len(fam_a) == m
         assert len(fam_b) == kk_cross_bound(n, k, l, m)
-        assert is_cross_intersecting(fam_a, fam_b)
+        assert all(a & b for a in fam_a for b in fam_b)

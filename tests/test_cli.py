@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -386,6 +387,51 @@ def test_commands_import_only_what_they_use():
     for name in crossint.__all__:
         held = [vars(module)[name] for module in modules if name in vars(module)]
         assert held and all(obj is getattr(crossint, name) for obj in held), name
+
+
+def test_every_public_name_serves_a_command_or_an_acceptance_criterion():
+    """Each name in crossint.__all__ is reached from cli.main or imported by
+    test_acceptance.py.
+
+    The closure works on names: from those roots it follows every
+    identifier and attribute name in a top-level definition of
+    src/crossint (body, annotations and defaults) to the top-level
+    definitions of that name in any module.  It over-approximates: a local
+    variable, attribute or annotation that shares a top-level name keeps
+    that name alive, so a public function called `shadow` would pass
+    through the local list `shadow` in oracle._sweep.
+    """
+    defs = {}
+    for path in Path(crossint.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append(node)
+    acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    todo = ["main"] + [
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("crossint")
+        for alias in node.names
+    ]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.Module(body=defs[name], type_ignores=[])):
+            if isinstance(node, ast.Name):
+                todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                todo.append(node.attr)
+    assert sorted(set(crossint.__all__) - reached) == []
 
 
 def test_measure_capacity_exit(capsys):

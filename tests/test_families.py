@@ -1,35 +1,24 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
-from crossint.errors import CapacityError, NonBinomialSizeError
+from crossint.errors import CapacityError
 from crossint.exactarith import binom
 from crossint.families import (
-    GeneralFamily,
     UniformFamily,
-    a_family_measure,
     a_family_uniform,
-    b_family_measure,
     b_family_uniform,
     colex_segment,
-    complement_family,
     from_text,
-    full_layer,
     is_cross_intersecting,
-    is_shadow_tight,
-    lift,
-    mask_of,
-    measure,
     measure_aj,
     measure_bj,
-    shadow,
     star_uniform,
     to_text,
 )
 
-from support import colex_sorted_subsets
+from support import blocking_measure_pair, brute_measure, colex_sorted_subsets
 
 
 def test_colex_segment_examples():
@@ -56,26 +45,6 @@ def test_colex_segment_capacity():
         colex_segment(-1, 2, 5)
 
 
-def test_shadow_examples():
-    fam = UniformFamily(3, 3, (0b111,))
-    assert sorted(shadow(fam, 2).sets()) == [(1, 2), (1, 3), (2, 3)]
-    assert len(shadow(colex_segment(17, 3, 6), 2)) == 15
-    assert sorted(shadow(full_layer(5, 3), 2).sets()) == sorted(
-        full_layer(5, 2).sets()
-    )
-    assert shadow(fam, 3).members == fam.members
-
-
-def test_complement_family():
-    fam = UniformFamily(3, 1, (0b001,))
-    assert complement_family(fam).sets() == [(2, 3)]
-    star = star_uniform(6, 3, 1)
-    assert complement_family(complement_family(star)).members == star.members
-    comp = complement_family(star)
-    assert all(1 not in s for s in comp.sets())
-    assert comp.k == 3
-
-
 def test_star_sizes():
     assert star_uniform(3, 1, 1).sets() == [(1,)]
     assert len(star_uniform(5, 3, 1)) == binom(4, 2)
@@ -100,17 +69,6 @@ def test_constructors_cap_members_before_building(monkeypatch):
     ):
         with pytest.raises(CapacityError, match="family cap 10"):
             build()
-
-
-def test_is_shadow_tight():
-    inside = UniformFamily(7, 3, full_layer(5, 3).members)
-    assert is_shadow_tight(inside, 2)
-    assert is_shadow_tight(colex_segment(10, 3, 6), 2)
-    ten = colex_segment(10, 3, 6).members
-    loose = UniformFamily(6, 3, ten[:9] + (mask_of((2, 5, 6), 6),))
-    assert not is_shadow_tight(loose, 2)
-    with pytest.raises(NonBinomialSizeError):
-        is_shadow_tight(colex_segment(7, 3, 6), 2)
 
 
 def test_tight_families_are_exactly_layers_at_n6():
@@ -155,9 +113,8 @@ def test_ab_family_examples():
 def test_ab_families_cross_intersect():
     for n in range(4, 9):
         for j in range(0, n - 2):
-            assert is_cross_intersecting(
-                a_family_measure(n, j), b_family_measure(n, j)
-            )
+            fam_a, fam_b = blocking_measure_pair(n, j)
+            assert all(a & b for a in fam_a for b in fam_b)
             for k in range(j + 1, n):
                 for l in range(1, n):
                     assert is_cross_intersecting(
@@ -184,27 +141,14 @@ def test_is_cross_intersecting_basics():
     assert not is_cross_intersecting(a, b)
 
 
-def test_measure_basics():
-    n = 4
-    power = GeneralFamily(n, tuple(range(1 << n)))
-    p = Fraction(3, 7)
-    assert measure(power, p) == 1
-    star = GeneralFamily(n, tuple(s for s in range(1 << n) if s & 1))
-    assert measure(star, p) == p
-    assert measure(GeneralFamily(n, ()), p) == 0
-    with pytest.raises(ValueError):
-        measure(power, Fraction(1))
-
-
 def test_measure_closed_forms_agree_exactly():
     biases = [Fraction(1, 4), Fraction(11, 20), Fraction(2, 7), Fraction(3, 5)]
     for j in range(5):
         for n in range(j + 2, 11):
-            fam_a = a_family_measure(n, j)
-            fam_b = b_family_measure(n, j)
+            fam_a, fam_b = blocking_measure_pair(n, j)
             for p in biases:
-                assert measure(fam_a, p) == measure_aj(p, j)
-                assert measure(fam_b, p) == measure_bj(p, j)
+                assert brute_measure(fam_a, n, p) == measure_aj(p, j)
+                assert brute_measure(fam_b, n, p) == measure_bj(p, j)
 
 
 def test_measure_closed_form_floats():
@@ -213,34 +157,6 @@ def test_measure_closed_form_floats():
     prod = measure_aj(0.2, 0) * measure_bj(0.6, 0)
     assert prod == pytest.approx(0.36 * 0.36)
     assert prod > 0.2 * 0.6
-
-
-def test_lift_preserves_measure():
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        members = tuple(
-            sorted(rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1))))
-        )
-        fam = GeneralFamily(n, members)
-        lifted = lift(fam)
-        assert lifted.n == n + 1
-        for p in (Fraction(1, 3), Fraction(2, 5)):
-            assert measure(fam, p) == measure(lifted, p)
-
-
-def test_measure_is_additive_and_bounded():
-    rng = random.Random(31)
-    n = 5
-    p = Fraction(2, 7)
-    universe = list(range(1 << n))
-    rng.shuffle(universe)
-    half = len(universe) // 2
-    fam1 = GeneralFamily(n, tuple(universe[:half]))
-    fam2 = GeneralFamily(n, tuple(universe[half:]))
-    total = measure(fam1, p) + measure(fam2, p)
-    assert total == 1
-    assert 0 <= measure(fam1, p) <= 1
 
 
 MALFORMED_FAMILY_FILES = [

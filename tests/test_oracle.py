@@ -14,7 +14,6 @@ from crossint.oracle import (
     WITNESS_CAP,
     _layer_profiles,
     _sweep,
-    achieving_pair,
     conjecture_scan,
     max_product_cascade,
     max_product_enumeration,
@@ -23,6 +22,7 @@ from crossint.oracle import (
 from crossint.regions import in_omega_prime
 
 from support import (
+    achieving_pair,
     brute_max_product,
     brute_measure_product,
     reference_measure_optima,

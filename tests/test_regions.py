@@ -22,8 +22,6 @@ from crossint.families import (
     measure_bj,
 )
 from crossint.regions import (
-    ProductBound,
-    boundary_condition,
     condition_c1,
     condition_c2,
     curve_samples,
@@ -45,13 +43,13 @@ from crossint.regions import (
 from support import (
     reference_boundary_sides,
     reference_delta_prime_sides,
-    reference_e,
     reference_envelope,
     reference_i0_sides,
     reference_root,
     reference_tail_bound_sides,
     reference_window_sides,
     relative_gap,
+    window,
 )
 
 
@@ -78,15 +76,6 @@ def test_e_curve_tends_to_one_minus_alpha():
     assert abs(e_j(alpha, 300_000) - (1 - alpha)) < 1e-6
 
 
-def test_boundary_condition_examples():
-    assert boundary_condition(0.25, 0.55, 0)
-    assert not boundary_condition(0.2, 0.6, 0)
-    # a point on a curve is undecidable, not failing
-    for alpha, j in [(0.2, 0), (0.3, 1), (0.4, 2), (0.4, 0)]:
-        with pytest.raises(UndecidableAtTolerance):
-            boundary_condition(alpha, e_j(alpha, j), j)
-
-
 def test_three_way_equivalence():
     rng = random.Random(41)
     for _ in range(300):
@@ -96,7 +85,8 @@ def test_three_way_equivalence():
         margin = e_j(alpha, j) - beta
         if abs(margin) < 1e-9:
             continue
-        bc = boundary_condition(alpha, beta, j)
+        lhs, rhs = reference_boundary_sides(alpha, beta, j)
+        bc = lhs < rhs
         measures = measure_aj(alpha, j) * measure_bj(beta, j) < alpha * beta
         assert bc == measures == (margin > 0)
 
@@ -319,11 +309,10 @@ def test_product_bound_matches_cascade_bound_at_integer_x():
         ("B", 22, 6, 12, 2, 2),
     ]
     for kind, n, k, l, i, eps in cases:
-        pb = ProductBound(kind, n, k, l, i, eps)
-        lo, hi = pb.x_range
-        for x in range(int(lo) + 1, int(hi) + 1):
-            m = pb.X + binom(x, pb.x_level_first)
-            assert pb.at(float(x)) == m * kk_cross_bound(n, k, l, m), (kind, x)
+        x_sum, y_sum, level_a, level_b, xs = window(kind, n, k, l, i, eps)
+        for x in xs:
+            m = x_sum + binom(x, level_a)
+            assert y_sum - binom(x, level_b) == kk_cross_bound(n, k, l, m), (kind, x)
 
 
 def test_product_bound_asymptotics_kind_c():
@@ -331,8 +320,9 @@ def test_product_bound_asymptotics_kind_c():
     # blocking measure product; checked at i = 2 against the j = 0 product
     n, alpha, beta = 400, 0.25, 0.55
     k, l = int(alpha * n), int(beta * n)
-    pb = ProductBound("C", n, k, l, 2, 0)
-    ratio = pb.at(float(n - 2)) / (binom(n, k) * binom(n, l))
+    x_sum, y_sum, level_a, level_b, _ = window("C", n, k, l, 2, 0)
+    product = (x_sum + binom(n - 2, level_a)) * (y_sum - binom(n - 2, level_b))
+    ratio = product / (binom(n, k) * binom(n, l))
     target = measure_aj(alpha, 0) * measure_bj(beta, 0)
     assert ratio == pytest.approx(target, rel=0.02)
 
@@ -341,31 +331,19 @@ def test_product_bound_endpoint_below_star_inside_region():
     # F(n - i) < X Y whenever the (i-2)-nd boundary condition holds
     n = 400
     for alpha, beta, i in [(0.25, 0.55, 2), (0.3, 0.56, 3), (0.35, 0.56, 4)]:
-        assert boundary_condition(alpha, beta, i - 2)
+        lhs, rhs = reference_boundary_sides(alpha, beta, i - 2)
+        assert lhs < rhs
         k, l = int(alpha * n), int(beta * n)
-        pb = ProductBound("C", n, k, l, i, 0)
-        assert pb.at(float(n - i)) < pb.X * pb.Y
-
-
-def test_product_bound_rejects_bad_input():
-    pb = ProductBound("C", 20, 5, 11, 3, 0)
-    with pytest.raises(ValueError):
-        pb.at(100.0)
-    with pytest.raises(ValueError):
-        ProductBound("D", 20, 5, 11, 3, 0)
-    with pytest.raises(ValueError):
-        ProductBound("C", 20, 5, 11, 3, 1)
-    with pytest.raises(ValueError):
-        ProductBound("B", 20, 5, 11, 3, 0)
+        x_sum, y_sum, level_a, level_b, _ = window("C", n, k, l, i, 0)
+        x = n - i
+        assert (x_sum + binom(x, level_a)) * (y_sum - binom(x, level_b)) < x_sum * y_sum
 
 
 def test_window_condition_refuses_an_epsilon_for_kind_c():
-    # as ProductBound does: kind C has one prefix term and no offset
+    # kind C has one prefix term and no offset
     for epsilon in (7, 1, -1):
         with pytest.raises(ValueError, match="kind C has no epsilon offset"):
             product_bound_condition(0.3, 0.6, 3, epsilon, "C")
-        with pytest.raises(ValueError, match="kind C has no epsilon offset"):
-            ProductBound("C", 20, 5, 11, 3, epsilon)
     assert product_bound_condition(0.3, 0.6, 3, 0, "C") == product_bound_condition(
         0.3, 0.6, 3, None, "C"
     )
@@ -496,13 +474,12 @@ def assert_matches(call, comparisons, expected, point):
 
 
 @reference_settings
-@given(points(), st.integers(0, 64), st.integers(4, 60), windows)
-def test_verdicts_match_the_reference_outside_the_band(point, j, t, window):
+@given(points(), st.integers(4, 60), windows)
+def test_verdicts_match_the_reference_outside_the_band(point, t, window_args):
     alpha, beta = point
     for predicate, args, reference in [
-        (boundary_condition, (alpha, beta, j), reference_boundary_sides),
         (tail_bound, (t, alpha, beta), reference_tail_bound_sides),
-        (product_bound_condition, (alpha, beta, *window), reference_window_sides),
+        (product_bound_condition, (alpha, beta, *window_args), reference_window_sides),
     ]:
         sides = reference(*args)
         assert_matches(lambda: predicate(*args), [sides], sides[0] < sides[1], point)
@@ -523,12 +500,11 @@ def test_verdicts_match_the_reference_outside_the_band(point, j, t, window):
 
 
 @reference_settings
-@given(unit, unit, st.integers(0, 200), st.integers(4, 200), windows)
-def test_float_path_raises_only_undecidable_or_uncertified(alpha, beta, j, t, window):
+@given(unit, unit, st.integers(4, 200), windows)
+def test_float_path_raises_only_undecidable_or_uncertified(alpha, beta, t, window_args):
     calls = [
-        lambda: boundary_condition(alpha, beta, j),
         lambda: tail_bound(t, alpha, beta),
-        lambda: product_bound_condition(alpha, beta, *window),
+        lambda: product_bound_condition(alpha, beta, *window_args),
         lambda: in_delta_prime(alpha, beta),
         lambda: in_delta(alpha, beta),
     ]
@@ -545,7 +521,7 @@ def test_each_predicate_is_undecidable_on_its_boundary():
     )
     i0_jump = reference_root(lambda a: reference_i0_sides(a, 2)[0], 0.2, 0.3)
     gamma = sum(0.5**p for p in range(5))
-    # boundary_condition and in_delta have their own boundary tests above
+    # in_delta has its own boundary tests above
     calls = [
         (in_delta_prime, 0.25, 1 / 1.75),  # on (2 - a) b = 1
         (in_delta_prime, 0.45, log_root),
