@@ -24,16 +24,15 @@ an up-closed family exactly when the complement of B is not a member.
 The objective collapses to mu_alpha(A) * (1 - mu_{1-beta}(A)), and both
 measures depend only on the layer profile of A, the number a_c of its
 members of size c.  Kruskal-Katona, applied to the complements (a
-down-set), says exactly which profiles up-sets have, so the maximum is a
-walk over those profiles (96 at n = 5, 553 at n = 6), each scored in
-integers over the fixed denominators q^n and s^n.  The witnesses are then
-listed profile by profile: a depth-first walk over subset masks in
-descending numeric order, include first, where a mask joins only when its
-one-element supersets all have (one AND against a table of them as
-family bits) and per-layer quotas cut every branch that cannot meet the
-profile.  Each family is one int of 2^n bits, bit m set when mask m is a
-member; sorted in descending int order, the first WITNESS_CAP of them
-are reported.
+down-set), says exactly which profiles up-sets have, so the maximum is
+one walk over those profiles (96 at n = 5, 553 at n = 6) carrying exact
+integer numerators over the fixed denominators q^n and s^n.  The
+witnesses are then listed profile by profile, depth first over subset
+masks in descending order, include first; a mask left out rules out its
+one-element subsets, and a branch ends once some layer has fewer live
+masks than its quota.  Each family is one int of 2^n bits, bit m set when
+mask m is a member; the first WITNESS_CAP in descending int order are
+reported, their minimal members found by whole-family shifts.
 
 k + l > n makes every pair of a k-set and an l-set intersect, so both
 oracles short-circuit to C(n,k) * C(n,l) there, refusing layers too
@@ -48,7 +47,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
@@ -266,65 +265,88 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _layer_profiles(n: int) -> Iterator[tuple[int, ...]]:
-    """Every (a_0, ..., a_n) such that some up-set on [n] has a_c members of size c.
+def _optimal_profiles(
+    n: int, weight_a: list[int], weight_b: list[int], total_b: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Max of num_a * (total_b - num_b) over the profiles of up-sets, with every argmax.
 
-    The complements of an up-set form a down-set, so by Kruskal-Katona a
-    profile is realizable exactly when, for each c, the fewest (c+1)-sets
-    lying over a_c c-sets is at most a_{c+1}: colex segments of the
-    complements attain every such profile.  That fewest number is the
-    minimum (n-c-1)-shadow of a_c (n-c)-sets, and 1 for any (n-1)-sets.
+    (a_0, ..., a_n) is the profile of some up-set on [n] exactly when, for
+    each c, the fewest (c+1)-sets lying over a_c c-sets is at most a_{c+1}
+    (module notes): the minimum (n-c-1)-shadow of a_c (n-c)-sets, and 1
+    for any (n-1)-sets.  One walk picks a_n, ..., a_0, carrying
+    num_a = sum a_c * weight_a[c] and num_b alike, so a leaf costs O(1).
     """
-    # over[c][x]: the fewest (c+1)-sets lying over x c-sets
+    # over[c][x]: the fewest (c+1)-sets lying over x c-sets; a_n is 0 or 1
     over = [
         [0] + [shadow_lower_bound(x, n - c, n - c - 1) for x in range(1, binom(n, c) + 1)]
         for c in range(n - 1)
-    ]
-    over.append([0] + [1] * n)
+    ] + [[0] + [1] * n, [0, 0]]
+    profile = [0] * (n + 1)
+    best, optimal = -1, []
 
-    def extend(profile: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # profile holds a_{c+1}, ..., a_n; over[c] never decreases in x
-        c = n - len(profile)
+    def walk(c: int, above: int, num_a: int, num_b: int) -> None:
+        nonlocal best, optimal
         if c < 0:
-            yield profile
+            value = num_a * (total_b - num_b)
+            if value > best:
+                best, optimal = value, [tuple(profile)]
+            elif value == best:
+                optimal.append(tuple(profile))
             return
-        for x, need in enumerate(over[c]):
-            if need > profile[0]:
+        for x, need in enumerate(over[c]):  # over[c] never decreases in x
+            if need > above:
                 break
-            yield from extend((x,) + profile)
+            profile[c] = x
+            walk(c - 1, x, num_a + x * weight_a[c], num_b + x * weight_b[c])
 
-    yield from extend((0,))
-    yield from extend((1,))
+    walk(n, 0, 0, 0)
+    return best, optimal
 
 
-def _up_sets(n: int, profile: tuple[int, ...], up: list[int], limit: int) -> list[int]:
+def _up_sets(n: int, profile: tuple[int, ...], limit: int) -> list[int]:
     """The first `limit` up-sets with layer profile `profile`, as family ints.
 
     Depth-first over subset masks in descending order, include first, so
-    the families come out in descending int order.  A mask joins only when
-    its one-element supersets all have (one AND against up[mask]) and its
-    layer still needs members; it is left out only when enough of its
-    layer is still undecided to meet the quota.
+    the families come out in descending int order.  A mask left out rules
+    out its one-element subsets, down[mask], which join the dead family
+    and pass that on when the walk reaches them; a mask joins only when it
+    is not dead and its layer still needs members.  live[c] counts the
+    undecided masks of layer c that are not dead, and a branch with some
+    live[c] below the quota has no completion, so it is cut.  No mask is
+    left out once `limit` families are found.
     """
+    # down[m]: the one-element subsets of m, as family bits; for b the lowest
+    # bit of m they are m - b and those of m - b with b added
+    down = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        b = mask & -mask
+        down[mask] = down[mask ^ b] << b | 1 << (mask ^ b)
     need = list(profile)
-    left = [binom(n, c) for c in range(n + 1)]
+    live = [binom(n, c) for c in range(n + 1)]
     found: list[int] = []
 
-    def walk(mask: int, fam: int) -> None:
+    def walk(mask: int, fam: int, dead: int) -> None:
         if mask < 0:
             found.append(fam)
             return
         c = mask.bit_count()
-        left[c] -= 1
-        if need[c] and fam & up[mask] == up[mask]:
+        alive = not dead >> mask & 1
+        live[c] -= alive
+        if alive and need[c]:
             need[c] -= 1
-            walk(mask - 1, fam | 1 << mask)
+            walk(mask - 1, fam | 1 << mask, dead)
             need[c] += 1
-        if left[c] >= need[c] and len(found) < limit:
-            walk(mask - 1, fam)
-        left[c] += 1
+        if live[c] >= need[c] and len(found) < limit:
+            # for mask 0 this reads layer n, whose quota the first step met
+            fresh = down[mask] & ~dead
+            cut = fresh.bit_count()
+            live[c - 1] -= cut
+            if live[c - 1] >= need[c - 1]:
+                walk(mask - 1, fam, dead | fresh)
+            live[c - 1] += cut
+        live[c] += alive
 
-    walk((1 << n) - 1, 0)
+    walk((1 << n) - 1, 0, 0)
     return found
 
 
@@ -332,9 +354,9 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     """Exact maximum of mu_alpha(A) * mu_beta(B) over cross-intersecting pairs.
 
     Scores every layer profile an up-set can have (lossless; see module
-    notes), then lists the up-sets of the optimal profiles, keeping each
-    family as one int and its measures as exact integer numerators.
-    Witnesses are reported as the antichains of minimal members of each
+    notes), then lists the up-sets of the optimal profiles by a quota-cut
+    walk, keeping each family as one int and its measures as exact integer
+    numerators.  Witnesses are the antichains of minimal members of each
     optimal pair.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
@@ -352,22 +374,9 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     weight_a = [p**c * (q - p) ** (n - c) for c in range(n + 1)]
     weight_b = [(s - r) ** c * r ** (n - c) for c in range(n + 1)]
     total_b = s**n
-    best, optimal = -1, []
-    for profile in _layer_profiles(n):
-        num_a = sum(a * w for a, w in zip(profile, weight_a))
-        num_b = sum(a * w for a, w in zip(profile, weight_b))
-        value = num_a * (total_b - num_b)
-        if value > best:
-            best, optimal = value, [profile]
-        elif value == best:
-            optimal.append(profile)
-    # up[m]: the one-element supersets of m, as family bits
-    up = [
-        sum(1 << (mask | 1 << e) for e in range(n) if not mask >> e & 1)
-        for mask in range(1 << n)
-    ]
+    best, optimal = _optimal_profiles(n, weight_a, weight_b, total_b)
     winners = sorted(
-        (fam for profile in optimal for fam in _up_sets(n, profile, up, WITNESS_CAP + 1)),
+        (fam for profile in optimal for fam in _up_sets(n, profile, WITNESS_CAP + 1)),
         reverse=True,
     )
     value = Fraction(best, q**n * total_b)
@@ -380,24 +389,25 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     )
 
 
-def _minimal_members(bits: int, n: int) -> list[tuple[int, ...]]:
-    """Members of the up-closed family `bits` that no one-element removal keeps."""
-    return [
-        elements_of(mask)
-        for mask in range(1 << n)
-        if bits >> mask & 1
-        and not any(bits >> (mask ^ 1 << e) & 1 for e in range(n) if mask >> e & 1)
-    ]
-
-
 def _witness_pair(bits: int, n: int) -> dict:
-    """Antichains generating an optimal up-closed pair."""
-    full = (1 << n) - 1
-    b_bits = sum(1 << mask for mask in range(1 << n) if not bits >> (full ^ mask) & 1)
-    return {
-        "a_min": _minimal_members(bits, n),
-        "b_min": _minimal_members(b_bits, n),
-    }
+    """Antichains generating an optimal up-closed pair.
+
+    A left shift by 2^e adds e to each mask without e, so a member of F is
+    minimal unless it is in OR_e (F & lacks[e]) << 2^e.  B, the sets whose
+    complement is not in A, is ~A reversed over 2^n bits: m -> full ^ m.
+    """
+    every = (1 << (1 << n)) - 1
+    # lacks[e]: the masks without e as family bits, 2^e set then 2^e clear
+    lacks = [every // ((1 << (1 << e)) + 1) for e in range(n)]
+
+    def minimal(fam: int) -> list[tuple[int, ...]]:
+        low = fam
+        for e, without in enumerate(lacks):
+            low &= ~((fam & without) << (1 << e))
+        return [elements_of(m) for m, bit in enumerate(f"{low:b}"[::-1]) if bit == "1"]
+
+    b_bits = every ^ int(f"{bits:0{1 << n}b}"[::-1], 2)
+    return {"a_min": minimal(bits), "b_min": minimal(b_bits)}
 
 
 # ---------------------------------------------------------------------------

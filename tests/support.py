@@ -7,7 +7,8 @@ exceptions are searches the package used to run: reference_sweep takes
 the shadow bound of each size from that size's own cascade form,
 independently of the incremental bound kept by the production sweep, and
 reference_measure_search finds the measure optima by branch and bound
-over up-closed families, with no layer profiles.  window writes out, digit
+over up-closed families, with no layer profiles, and reference_up_sets
+lists up-sets by profile without the dead-family cut.  window writes out, digit
 by digit, the size windows that the window conditions of regions are
 about.  The region references
 at the end evaluate each side of a predicate's comparison at 50 digits
@@ -267,6 +268,63 @@ def reference_measure_search(n, alpha, beta, leaves=None):
     return OracleResult(
         value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}
     )
+
+
+def reference_up_sets(n, profile, limit):
+    """The first `limit` up-sets with layer profile `profile`, as family ints.
+
+    The listing walk the measure oracle ran before its dead-family cut:
+    depth-first over subset masks in descending order, include first; a
+    mask joins only when its one-element supersets all have (one AND
+    against up[mask]) and its layer still needs members; it is left out
+    only when enough of its layer is still undecided to meet the quota.
+    """
+    # up[m]: the one-element supersets of m, as family bits
+    up = [
+        sum(1 << (mask | 1 << e) for e in range(n) if not mask >> e & 1)
+        for mask in range(1 << n)
+    ]
+    need = list(profile)
+    left = [math.comb(n, c) for c in range(n + 1)]
+    found = []
+
+    def walk(mask, fam):
+        if mask < 0:
+            found.append(fam)
+            return
+        c = mask.bit_count()
+        left[c] -= 1
+        if need[c] and fam & up[mask] == up[mask]:
+            need[c] -= 1
+            walk(mask - 1, fam | 1 << mask)
+            need[c] += 1
+        if left[c] >= need[c] and len(found) < limit:
+            walk(mask - 1, fam)
+        left[c] += 1
+
+    walk((1 << n) - 1, 0)
+    return found
+
+
+def reference_witness_pair(bits, n):
+    """The minimal members of an up-closed A and of its largest partner B.
+
+    A member is minimal when removing any one of its elements leaves the
+    family; B is every S whose complement [n] minus S is not in A.  Members
+    are tuples of elements 1..n in ascending mask order.
+    """
+    full = (1 << n) - 1
+
+    def minimal(fam):
+        return [
+            tuple(e + 1 for e in range(n) if mask >> e & 1)
+            for mask in range(full + 1)
+            if fam >> mask & 1
+            and not any(fam >> (mask ^ 1 << e) & 1 for e in range(n) if mask >> e & 1)
+        ]
+
+    b_bits = sum(1 << mask for mask in range(full + 1) if not bits >> (full ^ mask) & 1)
+    return {"a_min": minimal(bits), "b_min": minimal(b_bits)}
 
 
 def reference_sweep(n, k, l):

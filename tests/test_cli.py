@@ -281,6 +281,16 @@ def test_truncated_measure_stdout_is_pinned(capsys):
     assert digest == "847fcd0ee6b1fed2378f65aae7c464a0b37768c1f59216ba69f7f3901b4021bf"
 
 
+def test_slowest_n6_measure_stdout_is_pinned(capsys):
+    # the slowest point of the (i/24, j/24) grid at n = 6 before the listing's
+    # dead-family cut; its digest was taken from the walk without that cut
+    code, out, _ = run(capsys, "measure", "6", "--alpha", "11/24", "--beta", "13/24")
+    assert code == 0
+    assert json.loads(out)["result"]["witnesses"]["optimal_count"] == 30
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5f2aea70844661aefaa2fc0ce8a06064e9d86948a16390b6a79c492ca10b0abe"
+
+
 def test_n6_measure_stdout_is_pinned_end_to_end():
     # the golden was captured from the branch-and-bound search, which took
     # about 90 s for this point; the profile walk must match it in seconds

@@ -12,8 +12,10 @@ from crossint.oracle import (
     DEFAULT_SWEEP_BUDGET,
     ENUMERATION_CAP,
     WITNESS_CAP,
-    _layer_profiles,
+    _optimal_profiles,
     _sweep,
+    _up_sets,
+    _witness_pair,
     conjecture_scan,
     max_product_cascade,
     max_product_enumeration,
@@ -28,6 +30,8 @@ from support import (
     reference_measure_optima,
     reference_measure_search,
     reference_sweep,
+    reference_up_sets,
+    reference_witness_pair,
 )
 
 
@@ -273,6 +277,13 @@ def test_measure_oracle_matches_the_branch_and_bound_at_n5():
             assert measure_oracle(5, alpha, beta).to_dict() == want, (alpha, beta)
 
 
+def _all_profiles(n):
+    # with every weight 0 each profile scores 0, so they all tie for the maximum
+    best, profiles = _optimal_profiles(n, [0] * (n + 1), [0] * (n + 1), 0)
+    assert best == 0
+    return profiles
+
+
 @pytest.mark.parametrize("n, dedekind", [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
 def test_layer_profiles_are_those_of_the_up_sets(n, dedekind):
     leaves = []
@@ -286,9 +297,44 @@ def test_layer_profiles_are_those_of_the_up_sets(n, dedekind):
         )
         for fam in leaves
     }
-    got = list(_layer_profiles(n))
+    got = _all_profiles(n)
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_up_sets_match_the_uncut_listing(n):
+    # the dead-family cut drops only branches with no completion, so the
+    # listing keeps its families, its order and its response to the limit
+    for profile in _all_profiles(n):
+        for limit in (1, WITNESS_CAP + 1, 10**9):
+            assert _up_sets(n, profile, limit) == reference_up_sets(n, profile, limit)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(Fraction(11, 24), Fraction(13, 24)), (Fraction(1, 10), Fraction(3, 5)),
+     (Fraction(7, 16), Fraction(3, 5))],
+)
+def test_up_sets_match_the_uncut_listing_at_n6(alpha, beta):
+    # each point has fewer than WITNESS_CAP optima, so a larger limit would
+    # repeat the uncut walk (about 1 s at (11/24, 13/24)) for the same list
+    n = 6
+    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    weight_a = [p**c * (q - p) ** (n - c) for c in range(n + 1)]
+    weight_b = [(s - r) ** c * r ** (n - c) for c in range(n + 1)]
+    _, optimal = _optimal_profiles(n, weight_a, weight_b, s**n)
+    for profile in optimal:
+        for limit in (1, WITNESS_CAP + 1):
+            assert _up_sets(n, profile, limit) == reference_up_sets(n, profile, limit)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_witness_pair_matches_the_definition(n):
+    leaves = []
+    reference_measure_search(n, Fraction(1, 3), Fraction(1, 2), leaves)
+    for bits in leaves:
+        assert _witness_pair(bits, n) == reference_witness_pair(bits, n)
 
 
 def test_full_layers_are_refused_only_past_the_digit_limit(monkeypatch):
