@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("kind", choices=("star", "afam", "bfam", "colex"))
     mk.add_argument("--n", type=int, required=True)
     mk.add_argument("--k", type=int, required=True)
-    mk.add_argument("--center", type=int, default=1)
-    mk.add_argument("--j", type=int, default=0)
-    mk.add_argument("--size", type=int, default=1, help="segment size for colex")
+    mk.add_argument("--center", type=int, help="star only (default 1)")
+    mk.add_argument("--j", type=int, help="afam and bfam only (default 0)")
+    mk.add_argument("--size", type=int, help="colex only: segment size (default 1)")
     info = fam_sub.add_parser("info")
     info.add_argument("path")
     cross = fam_sub.add_parser("cross")
@@ -264,14 +264,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     from . import families
     if args.family_command == "make":
+        # each kind reads one of --center, --j and --size, which the parser
+        # leaves None when absent
+        reads, default = {
+            "star": ("center", 1),
+            "afam": ("j", 0),
+            "bfam": ("j", 0),
+            "colex": ("size", 1),
+        }[args.kind]
+        for name in ("center", "j", "size"):
+            if name != reads and getattr(args, name) is not None:
+                raise ValueError(f"family make {args.kind} takes no --{name}")
+        value = default if getattr(args, reads) is None else getattr(args, reads)
         if args.kind == "star":
-            fam = families.star_uniform(args.n, args.k, args.center)
+            fam = families.star_uniform(args.n, args.k, value)
         elif args.kind == "afam":
-            fam = families.a_family_uniform(args.n, args.k, args.j)
+            fam = families.a_family_uniform(args.n, args.k, value)
         elif args.kind == "bfam":
-            fam = families.b_family_uniform(args.n, args.k, args.j)
+            fam = families.b_family_uniform(args.n, args.k, value)
         else:
-            fam = families.colex_segment(args.size, args.k, args.n)
+            fam = families.colex_segment(value, args.k, args.n)
         sys.stdout.write(families.to_text(fam))
         return EXIT_OK
     if args.family_command == "info":

@@ -36,7 +36,9 @@ reported, their minimal members found by whole-family shifts.
 
 k + l > n makes every pair of a k-set and an l-set intersect, so both
 oracles short-circuit to C(n,k) * C(n,l) there, refusing layers too
-large to print before they are multiplied.
+large to print before they are multiplied.  Elsewhere the sweep refuses
+a star factor C(n-1,k-1) or C(n-1,l-1) too large to print before it
+starts, since the maximum is at least the star product.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ from itertools import combinations
 from operator import or_
 from typing import Any, Union
 
-from .cascade import _advance, _digits, _largest_a, kk_cross_bound, shadow_lower_bound
+from .cascade import _advance, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
 from .exactarith import _Record, binom, binom_exceeds, exact_text
 from .families import colex_masks, elements_of
 from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
 
-#: Most first-family sizes the cascade sweep walks; about 75 s of sweeping.
+#: Most first-family sizes the cascade sweep walks; about 50 s of sweeping.
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
 #: The enumeration oracle packs 2^_CHUNK_BITS 32-bit lanes into each int.
@@ -82,11 +84,11 @@ class OracleResult(_Record):
         return out
 
 
-def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
-    """C(n,k), C(n,l) and their product, the optimum when k + l > n.
+def _refuse_past_digit_limit(n: int, k: int, l: int) -> None:
+    """Refuse when C(n,k) or C(n,l) is past Python's int-to-str digit limit.
 
-    A layer past Python's int-to-str digit limit could never be printed,
-    so it is refused before either binomial is built.
+    A product with such a factor could never be printed; the test builds
+    neither binomial.  A limit of 0 means no limit.
     """
     digits = sys.get_int_max_str_digits()
     if digits and (
@@ -95,6 +97,11 @@ def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
         raise CapacityError(
             f"C({n},{k}) * C({n},{l}) has a factor past the {digits}-digit limit"
         )
+
+
+def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
+    """C(n,k), C(n,l) and their product, the optimum when k + l > n."""
+    _refuse_past_digit_limit(n, k, l)
     size_a, size_b = binom(n, k), binom(n, l)
     return size_a, size_b, size_a * size_b
 
@@ -108,32 +115,28 @@ def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     """
     u, drop = n - k, n - k - l
     layer = binom(n, l)
-    # A digit (a, lev) of any m <= top has C(a, lev) <= m, so row lev stops
-    # at _largest_a(top, lev); top counts the size _advance emits after the
-    # last one, which is the digit C(n+1, 1) when u = 1.  Digits never sit
-    # below their level or at level 0, so those entries are 0 and unread.
-    # No row evaluates a binomial: with t = lev - drop, C(lev, t) comes from
-    # the previous row's first entry C(lev-1, t-1) times lev/t, and the row
-    # goes on by C(a+1, t) = C(a, t) * (a+1)/(a+1-t); both divisions are
-    # exact, and t <= 0 gives a row of 1s or 0s.
-    top = binom(n, k) + 1
+    # Digits strictly decrease from a top digit of at most n, so a digit
+    # (a, lev) of any m <= C(n,k) has lev <= a <= k + lev; the size _advance
+    # emits after the last one needs a = k + lev + 1 only for C(n+1, 1) when
+    # u = 1.  Row lev holds C(a, lev - drop) at index a - lev for those k + 2
+    # values of a.  No row evaluates a binomial: with t = lev - drop, C(lev, t)
+    # comes from the previous row's first entry C(lev-1, t-1) times lev/t,
+    # and the row goes on by C(a+1, t) = C(a, t) * (a+1)/(a+1-t); both
+    # divisions are exact, and t <= 0 gives a row of 1s or 0s.
     term = [[]]
     first = binom(0, -drop)
     for lev in range(1, u + 1):
-        last = min(_largest_a(top, lev), n + 1)
         t = lev - drop
         first = first * lev // t if t > 0 else binom(lev, t)
-        row = [0] * lev + [first]
-        for a in range(lev, last):
+        row = [first]
+        for a in range(lev, lev + k + 1):
             row.append(row[-1] * (a + 1) // (a + 1 - t))
         term.append(row)
-    digits = _digits(1, u)
+    digits, depth = [(u, u)], 1  # m = 1 is the one digit C(u, u)
     shadow = [0] * (u + 1)
-    for i, (a, lev) in enumerate(digits, 1):
-        shadow[i] = shadow[i - 1] + term[lev][a]
-    depth = len(digits)
+    shadow[1] = term[u][0]
     best, wits = -1, []
-    for m in range(1, top):
+    for m in range(1, binom(n, k) + 1):
         val = m * (layer - shadow[depth])
         if val > best:
             best, wits = val, [m]
@@ -142,7 +145,7 @@ def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
         _advance(digits)
         depth = len(digits)
         a, lev = digits[-1]
-        shadow[depth] = shadow[depth - 1] + term[lev][a]
+        shadow[depth] = shadow[depth - 1] + term[lev][a - lev]
     return best, wits
 
 
@@ -159,6 +162,8 @@ def max_product_cascade(n: int, k: int, l: int) -> OracleResult:
         raise CapacityError(
             f"sweep over C({n},{k}) sizes exceeds the budget of {DEFAULT_SWEEP_BUDGET}"
         )
+    # M(n,k,l) is at least the star product C(n-1,k-1) * C(n-1,l-1)
+    _refuse_past_digit_limit(n - 1, k - 1, l - 1)
     best, wits = _sweep(n, k, l)
     return OracleResult(
         best,

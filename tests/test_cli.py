@@ -684,6 +684,29 @@ def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path, leaf, op
     assert code == 0 and out
 
 
+# the one option each kind reads, with a valid value
+KIND_OPTIONS = {
+    "star": ["--center", "3"],
+    "afam": ["--j", "1"],
+    "bfam": ["--j", "1"],
+    "colex": ["--size", "3"],
+}
+
+
+@pytest.mark.parametrize("option", [["--center", "3"], ["--j", "1"], ["--size", "3"]])
+@pytest.mark.parametrize("kind", list(KIND_OPTIONS))
+def test_family_make_takes_only_the_option_its_kind_reads(capsys, kind, option):
+    # with and without the option the kind does read
+    base = ["family", "make", kind, "--n", "5", "--k", "2"]
+    for argv in (base, base + KIND_OPTIONS[kind]):
+        code, out, err = run(capsys, *argv, *option)
+        if option == KIND_OPTIONS[kind]:
+            assert code == 0 and out.splitlines()[0] == "5 2"
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: family make {kind} takes no {option[0]}\n"
+
+
 @pytest.mark.parametrize(
     "kind_args",
     [

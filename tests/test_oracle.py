@@ -106,6 +106,33 @@ def test_sweep_table_stays_within_reachable_digits(monkeypatch):
     ]
 
 
+def test_sweep_memory_stays_linear_in_the_rows():
+    # k = 1: the table has n - k rows of k + 2 entries, so memory grows with
+    # the rows' binomials, not with (n - k)^2 / 2 padded slots
+    import tracemalloc
+
+    n, l = 8000, 4000
+    tracemalloc.start()
+    try:
+        res = max_product_cascade(n, 1, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # closed form: max over m <= l of m * C(n - m, l - m), where
+    # C(n-m-1, l-m-1) = C(n-m, l-m) * (l-m) / (n-m)
+    best, wits, b_size = -1, [], binom(n - 1, l - 1)
+    for m in range(1, l + 1):
+        if m * b_size > best:
+            best, wits = m * b_size, [(m, b_size)]
+        elif m * b_size == best:
+            wits.append((m, b_size))
+        b_size = b_size * (l - m) // (n - m)
+    assert res.value == best
+    assert res.witnesses == [{"a_size": m, "b_size": b} for m, b in wits]
+    assert [w["a_size"] for w in res.witnesses] == [1]
+
+
 def test_enumeration_examples():
     res = max_product_enumeration(5, 1, 3)
     assert res.value == 6
@@ -351,6 +378,22 @@ def test_full_layers_are_refused_only_past_the_digit_limit(monkeypatch):
     assert res.witnesses == [{"a_size": binom(n, k), "b_size": binom(n, l)}]
     sizes = max_product_enumeration(n, k, l).witnesses["optimal_sizes"]
     assert sizes == [binom(n, k)]
+
+
+def test_sweep_past_the_digit_limit_is_refused_before_it_runs(monkeypatch):
+    # M(20000, 1, 10000) is at least C(19999, 9999), which has 6019 digits
+    import crossint.oracle as oracle
+
+    def no_sweep(n, k, l):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(oracle, "_sweep", no_sweep)
+    with pytest.raises(CapacityError, match="digit limit"):
+        max_product_cascade(20000, 1, 10000)
+    # a limit of 0 means no limit, so the sweep is reached
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    with pytest.raises(AssertionError, match="the sweep ran"):
+        max_product_cascade(20000, 1, 10000)
 
 
 def test_measure_oracle_star_witnesses():
