@@ -195,8 +195,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     integer_mode = bool(args.nkl)
     body: dict = {"conditions": {}}
     if integer_mode:
-        if len(args.nkl) != 3 or args.alpha is not None or args.beta is not None:
+        if args.alpha is not None or args.beta is not None:
             raise ValueError("give either N K L or --alpha/--beta, not both")
+        if len(args.nkl) != 3:
+            raise ValueError(f"need exactly three integers N K L, got {len(args.nkl)}")
         n, k, l = args.nkl
         body.update(n=n, k=k, l=l)
         for name in wanted:

@@ -24,9 +24,6 @@ from .errors import BracketingError, CapacityError
 #: Relative tolerance of the region near-boundary rule; `bisect`'s bracket width.
 DEFAULT_TOL = 1e-12
 
-#: Iteration cap for `bisect`, the one root finder of the package.
-BISECT_MAX_ITER = 200
-
 
 class _Record:
     """A value class whose fields are its __slots__: compared and printed by them."""
@@ -135,13 +132,15 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
     """Locate the switch point of a monotone predicate on [lo, hi].
 
     below(x) must be true left of the switch and false right of it.  The
-    bracket is halved until it is no wider than DEFAULT_TOL or
-    BISECT_MAX_ITER halvings have run; the midpoint is returned.
+    bracket is halved until it is no wider than DEFAULT_TOL or no float
+    lies strictly inside it; the midpoint is returned.  A finite bracket
+    ends within about 1,100 halvings, its width falling from at most
+    2^1024 to DEFAULT_TOL; a NaN or infinite one ends at once.
     """
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= DEFAULT_TOL:
-            break
+    while hi - lo > DEFAULT_TOL:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
         if below(mid):
             lo = mid
         else:

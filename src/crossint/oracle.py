@@ -55,7 +55,7 @@ from .cascade import _advance, kk_cross_bound, shadow_lower_bound
 from .errors import CapacityError
 from .exactarith import _Record, binom, binom_exceeds, exact_text
 from .families import colex_masks, elements_of
-from .regions import DEFAULT_J_CAP, _check_uniform_params, in_omega_prime
+from .regions import _check_uniform_params, in_omega_prime
 
 #: Most first-family sizes the cascade sweep walks; about 50 s of sweeping.
 DEFAULT_SWEEP_BUDGET = 10**8
@@ -424,10 +424,10 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
     """Evidence report: blocking-pair hypothesis vs. the oracle's verdict.
 
     The hypothesis asks that every j-indexed blocking pair have a size
-    product strictly below the star product.  Past j = max(k, n-l) - 1
-    both perturbation terms vanish and the pair IS the star pair, so the
-    scan certifies that tail as degenerate rather than checking it.  The
-    index is capped at regions.DEFAULT_J_CAP, as for the e_j curves.
+    product strictly below the star product.  Pairs j = 0 to
+    max(k, n-l) - 1 are checked, each as an exact integer product; from
+    j = max(k, n-l) on both perturbation terms vanish and the pair IS the
+    star pair, so that tail is degenerate and always certified.
     The verdict is read from the sweep's witness list: in Omega' (k + l < n)
     an optimum of the star size must be a star, by the shadow equality
     condition, so stars are the unique optimum exactly when that is the
@@ -441,8 +441,7 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
     degenerate_from = max(k, n - l)
     checked = []
     first_violation = None
-    checked_up_to = min(DEFAULT_J_CAP, degenerate_from - 1)
-    for j in range(0, checked_up_to + 1):
+    for j in range(degenerate_from):
         size_a = star_a + binom(n - j - 2, k - j - 1)
         size_b = star_b - binom(n - j - 2, l - 1)
         holds = size_a * size_b < star_product
@@ -454,9 +453,9 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
     hypothesis = {
         "holds": first_violation is None,
         "first_violation": first_violation,
-        "checked_up_to": checked_up_to,
+        "checked_up_to": degenerate_from - 1,
         "degenerate_from": degenerate_from,
-        "tail_certified": DEFAULT_J_CAP >= degenerate_from - 1,
+        "tail_certified": True,
         "per_j": checked,
     }
     report: dict[str, Any] = {

@@ -17,7 +17,8 @@ The integer-side analogues C1 and C2 (exact rational evaluations) and the
 strengthened region Delta' defined by (2-a) b < 1 together with
 (1-a) log(1/(1-b)) < (1-b) log(1/a) live here too, as do the asymptotic
 conditions under which a window of first-family sizes keeps its size
-product below the star product.
+product below the star product; the window index i0 is found by a walk
+that stops where its test turns monotone.
 
 Every verdict on computed floats goes through one near-boundary rule,
 `_below`: lhs < rhs is decided only when |lhs - rhs| > DEFAULT_TOL *
@@ -27,6 +28,7 @@ inputs compare exactly; curve values are computed without the band.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,8 +42,6 @@ from .exactarith import DEFAULT_TOL, bisect
 
 #: The envelope walk gives up unless a tail floor by e_DEFAULT_J_CAP certifies it.
 DEFAULT_J_CAP = 64
-#: Largest window index i0 searches.
-DEFAULT_I_MAX = 1000
 #: Most alphas one curve table may hold; every row is built in memory.
 MAX_GRID = 10**5
 #: Largest n condition_c2 takes; its harmonic sums grow O(n) Fractions whose
@@ -255,23 +255,23 @@ def i0(alpha: float) -> int:
 
         (1 + a^(i-2) (1-a)) log(1/(1 - e_{i-2}(a))) < log(1/a)
 
-    holds for every i' with i <= i' <= DEFAULT_I_MAX.  The left side tends
-    to log(1/a) from below as i grows, so a finite scan settles it.
+    holds for every i' >= i.  With j = i - 2, t = a^j (1-a), la = log(1/a),
+    lb = log(1/(1-a)) and L = log(1 + t), the test times j + 1 reads
+    g(j) = L + t (j la + lb + L) < la - lb, and la - lb > 0 for a < 1/2.
+    For j >= 1, g strictly decreases to 0: t, L and j a^j all fall, since
+    (j + 1) a < j.  So the walk ends at the first j >= 1 that passes.
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
     log_inv_alpha = -math.log(alpha)
     what = f"window condition of i0 at alpha = {alpha}"
     last_fail = None
-    for j in range(DEFAULT_I_MAX - 1):
+    for j in itertools.count():
         lhs = -(1.0 + alpha**j * (1.0 - alpha)) * _log_one_minus_e(alpha, j)
         if not _below(lhs, log_inv_alpha, what):
             last_fail = j + 2
-    if last_fail == DEFAULT_I_MAX:
-        raise NotFoundError(
-            f"window condition still failing at i = {DEFAULT_I_MAX} for alpha={alpha}"
-        )
-    return 2 if last_fail is None else last_fail + 1
+        elif j >= 1:
+            return 2 if last_fail is None else last_fail + 1
 
 
 # ---------------------------------------------------------------------------

@@ -168,13 +168,27 @@ def test_check_claims_bundle(capsys):
 
 
 def test_check_mixed_mode_rejected(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "check", "20", "5", "11", "--alpha", "0.2", "--beta", "0.6",
         "--conditions", "c1",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "not both" in err
     code, _, _ = run(capsys, "check", "20", "5", "11", "--conditions", "delta")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "nkl", [["5"], ["5", "2"], ["20", "5", "11", "3"]], ids=["one", "two", "four"]
+)
+def test_check_wrong_integer_count_is_a_usage_error(capsys, nkl):
+    code, out, err = run(capsys, "check", *nkl, "--conditions", "c1")
+    assert (code, out) == (2, "")
+    assert f"need exactly three integers N K L, got {len(nkl)}" in err
+    # with a point as well, the error is the mix of the two kinds
+    code, out, err = run(capsys, "check", *nkl, "--alpha", "0.2", "--conditions", "c1")
+    assert (code, out) == (2, "")
+    assert "not both" in err
 
 
 @pytest.mark.parametrize("conditions", ["", ",", " , "])
@@ -482,13 +496,13 @@ def test_scan_stdout_is_pinned(capsys):
             ["5", "20", "1", "8", "3", "19"],
             "ba0e0461e0b2aae5b6954bfa25acb1020fbc2f157ccf656f5f9d864f831b692d",
         ),
-        # j runs past regions.DEFAULT_J_CAP here, so tail_certified is false
+        # from n = 133 on, j runs past 64: every pair before the tail is checked
         (
             ["130", "141", "1", "2", "66", "80"],
-            "b62335539e65bf1a8a06bfbc29b44f88a5cb2b0c8389883c570bdca9605c04cf",
+            "d77c818dc8ffeeb0d9051c727a9b901527f41d91ca425d707386d07e86aa1858",
         ),
     ],
-    ids=["240-rows", "uncertified-tail"],
+    ids=["240-rows", "long-per-j"],
 )
 def test_scan_stdout_digest_is_pinned(capsys, box, digest):
     argv = ["scan", "--n-range", *box[:2], "--k-range", *box[2:4]]

@@ -96,17 +96,32 @@ def test_bisect_brackets_the_switch_point():
     assert bisect(lambda x: True, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bisect_stops_after_the_iteration_cap(monkeypatch):
+def test_bisect_stops_at_adjacent_floats():
+    # near 9000 one ulp exceeds DEFAULT_TOL, so the bracket ends as two
+    # adjacent floats, not at the tolerance
     calls = []
+    root = math.sqrt(81_000_000.5)
 
     def below(x):
         calls.append(x)
-        return x < 0.3
+        return x * x < 81_000_000.5
 
-    monkeypatch.setattr(exactarith, "BISECT_MAX_ITER", 5)
-    root = bisect(below, 0.0, 1.0)
-    assert len(calls) == 5
-    assert abs(root - 0.3) <= 1.0 / 2**6
+    found = bisect(below, 9000.0, 9001.0)
+    assert math.ulp(found) > exactarith.DEFAULT_TOL
+    assert len(calls) < 64
+    assert abs(found - root) <= math.ulp(root)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0),
+     (-math.inf, math.inf)],
+)
+def test_bisect_ends_at_once_on_a_nan_or_infinite_bracket(lo, hi):
+    def below(x):
+        raise AssertionError(f"predicate called at {x}")
+
+    bisect(below, lo, hi)
 
 
 def test_binom_exceeds_matches_the_binomial():

@@ -465,6 +465,22 @@ def test_conjecture_scan_tail_is_degenerate():
     assert rep["hypothesis"]["tail_certified"]
 
 
+def test_conjecture_scan_checks_every_pair_before_the_tail():
+    # j runs to max(k, n-l) - 1 = 68, past 64
+    n, k, l = 140, 1, 71
+    hypothesis = conjecture_scan(n, k, l)["hypothesis"]
+    assert hypothesis["checked_up_to"] == hypothesis["degenerate_from"] - 1 == 68
+    assert hypothesis["tail_certified"]
+    star_a, star_b = binom(n - 1, k - 1), binom(n - 1, l - 1)
+    assert [entry["j"] for entry in hypothesis["per_j"]] == list(range(69))
+    for entry in hypothesis["per_j"]:
+        j = entry["j"]
+        size_a = star_a + binom(n - j - 2, k - j - 1)
+        size_b = star_b - binom(n - j - 2, l - 1)
+        assert entry["product"] == str(size_a * size_b)
+        assert entry["holds"] == (size_a * size_b < star_a * star_b)
+
+
 def test_result_serializes_to_json():
     res = max_product_cascade(6, 2, 3)
     payload = json.dumps(res.to_dict())

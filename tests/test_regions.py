@@ -11,7 +11,6 @@ from crossint import regions
 from crossint.errors import (
     CapacityError,
     CertificationError,
-    NotFoundError,
     UndecidableAtTolerance,
 )
 from crossint.exactarith import DEFAULT_TOL, binom
@@ -266,18 +265,49 @@ def test_e_crossing_values():
         e_crossing(3)
 
 
+def _counting_log_one_minus_e(monkeypatch):
+    """Record the j of every window test i0 makes."""
+    calls = []
+    original = regions._log_one_minus_e
+
+    def counted(alpha, j):
+        calls.append(j)
+        return original(alpha, j)
+
+    monkeypatch.setattr(regions, "_log_one_minus_e", counted)
+    return calls
+
+
 def test_i0_scan(monkeypatch):
+    # the walk tests j = 0, 1, ... and stops at the first j >= 1 that passes
+    calls = _counting_log_one_minus_e(monkeypatch)
     first = i0(0.25)
-    monkeypatch.setattr(regions, "DEFAULT_I_MAX", 2000)
-    assert first == i0(0.25)
-    assert first >= 2
-    monkeypatch.setattr(regions, "DEFAULT_I_MAX", first - 1)
-    with pytest.raises(NotFoundError):
-        i0(0.25)
+    assert first == 3
+    assert calls == [0, 1]
+    sides = reference_i0_sides(0.25, 2000)
+    assert sides[0][0] >= sides[0][1]
+    assert all(lhs < rhs for lhs, rhs in sides[1:])
     with pytest.raises(ValueError):
         i0(0.5)
     with pytest.raises(ValueError):
         i0(0.0)
+
+
+def test_i0_walk_is_short_up_to_the_edge(monkeypatch):
+    # g(j) falls below log((1-a)/a) within about 40 indices up to 0.4999999
+    calls = _counting_log_one_minus_e(monkeypatch)
+    for alpha in [idx / 1000 for idx in range(1, 500)] + [0.4999999]:
+        calls.clear()
+        first = i0(alpha)
+        assert len(calls) <= 40, alpha
+        assert calls == list(range(max(first - 1, 2))), alpha
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.45, 0.49, 0.499, 0.4999999])
+def test_i0_matches_the_reference_walk_to_2000(alpha):
+    sides = reference_i0_sides(alpha, 2000)
+    fails = [i for i, (lhs, rhs) in enumerate(sides, start=2) if lhs >= rhs]
+    assert i0(alpha) == (fails[-1] + 1 if fails else 2)
 
 
 def test_i0_condition_approaches_limit_from_below():
@@ -484,7 +514,7 @@ def test_verdicts_match_the_reference_outside_the_band(point, t, window_args):
         sides = reference(*args)
         assert_matches(lambda: predicate(*args), [sides], sides[0] < sides[1], point)
     if 0 < alpha < 0.5:
-        sides = reference_i0_sides(alpha, regions.DEFAULT_I_MAX)
+        sides = reference_i0_sides(alpha, 1000)
         fails = [i for i, (lhs, rhs) in enumerate(sides, start=2) if lhs >= rhs]
         assert_matches(lambda: i0(alpha), sides, fails[-1] + 1 if fails else 2, point)
     if not in_omega(alpha, beta):
