@@ -12,8 +12,8 @@ _EXPORTS = {
         "kk_cross_bound", "lovasz_bound", "shadow_lower_bound", "truncate_cascade",
     ),
     "errors": (
-        "BracketingError", "CapacityError", "CertificationError", "CrossIntError",
-        "InvalidTruncationError", "NotFoundError", "UndecidableAtTolerance",
+        "BracketingError", "CapacityError", "CrossIntError", "InvalidTruncationError",
+        "NotFoundError",
     ),
     "exactarith": ("DEFAULT_TOL", "binom", "binom_ratio", "gen_binom", "solve_binom_x"),
     "families": (

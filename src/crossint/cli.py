@@ -4,7 +4,7 @@ Subcommands expose the oracles (mnkl, measure, scan), the region calculus
 (check, region), and family import/export (family).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 1 a requested condition fails or methods disagree, 2 usage error,
-3 capacity or undecidability.
+3 capacity (or a comparison of logarithms past regions.MAX_LOG_DIGITS).
 
 Each command takes only the options it reads; caps, tolerances and
 budgets are module constants, not options.  Reports are JSON with a
@@ -20,12 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    CapacityError,
-    CertificationError,
-    CrossIntError,
-    UndecidableAtTolerance,
-)
+from .errors import CapacityError, CrossIntError
 
 SCHEMA = "crossint-report/4"
 
@@ -60,14 +55,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
-def _parse_bias(text: str) -> float:
+def _parse_bias(text: str) -> Fraction:
+    """A decimal literal or P/Q, read exactly; its nearest float must be in (0, 1)."""
     try:
-        value = float(text)
-    except ValueError as exc:
+        # float() reads a long exponent at once; Fraction builds 10^exponent
+        value = Fraction(text) if "/" in text else float(text)
+        if 0 < value < 1 and 0 < float(value) < 1:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"not a number in (0, 1): {text!r}")
-    return value
+    raise argparse.ArgumentTypeError(f"not a number in (0, 1): {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +154,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
+def _point_conditions(alpha: Fraction, beta: Fraction, wanted: list[str]) -> dict:
     from . import regions
     out = {}
     for name in wanted:
@@ -165,7 +162,7 @@ def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
             out["delta"] = regions.in_delta(alpha, beta)
         elif name == "delta-prime":
             out["delta-prime"] = regions.in_delta_prime(alpha, beta)
-        elif name == "claims":
+        else:
             i_first = regions.i0(alpha)
             checks = {
                 "A(2,1)": regions.product_bound_condition(alpha, beta, 2, 1, "A"),
@@ -180,8 +177,6 @@ def _point_conditions(alpha: float, beta: float, wanted: list[str]) -> dict:
                     alpha, beta, 3, 1, "B"
                 )
             out["claims"] = {"holds": all(checks.values()), "detail": checks}
-        else:
-            raise ValueError(f"condition {name!r} needs integer arguments n k l")
     return out
 
 
@@ -209,9 +204,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             else:
                 raise ValueError(f"condition {name!r} needs --alpha/--beta")
     else:
+        for name in wanted:
+            if name not in ("delta", "delta-prime", "claims"):
+                raise ValueError(f"condition {name!r} needs integer arguments n k l")
         if args.alpha is None or args.beta is None:
             raise ValueError("point conditions need both --alpha and --beta")
-        body.update(alpha=args.alpha, beta=args.beta)
+        body.update(alpha=float(args.alpha), beta=float(args.beta))
         body["conditions"] = _point_conditions(args.alpha, args.beta, wanted)
     body["all_hold"] = all(
         value["holds"] if isinstance(value, dict) else value
@@ -223,11 +221,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     from . import oracle
+    from .exactarith import exact_text
     result = oracle.measure_oracle(args.n, args.alpha, args.beta)
     product = args.alpha * args.beta
     body = {
         "result": result.to_dict(),
-        "alpha_beta": str(product),
+        "alpha_beta": exact_text(product),
         "equals_alpha_beta": result.value == product,
     }
     _emit_json(_report("measure", body))
@@ -329,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args)
-    except (CapacityError, UndecidableAtTolerance, CertificationError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, CrossIntError, OSError) as exc:

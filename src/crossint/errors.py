@@ -17,13 +17,5 @@ class InvalidTruncationError(CrossIntError):
     """The requested truncation point does not exist for this cascade form."""
 
 
-class UndecidableAtTolerance(CrossIntError):
-    """A strict comparison fell inside the floating comparison tolerance."""
-
-
-class CertificationError(CrossIntError):
-    """A finite scan could not certify an infinite family of conditions."""
-
-
 class NotFoundError(CrossIntError):
     """A bounded scan terminated without locating the requested index."""

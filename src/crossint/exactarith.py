@@ -3,8 +3,8 @@
 Integer quantities (family sizes, shadow sizes, maximum products) live in
 Python's arbitrary-precision ints and exact rationals in
 ``fractions.Fraction``; nothing on that side ever rounds.  The real-valued
-side of the calculus uses doubles with a documented comparison tolerance
-of ``DEFAULT_TOL``.
+side of the calculus (boundary curves, roots) uses doubles, and `bisect`
+narrows a root's bracket to ``DEFAULT_TOL``.
 
 The real-argument binomial C(x, t) extends the integer one by the falling
 factorial x(x-1)...(x-t+1)/t!, with C(x, 0) = 1 and C(x, t) = 0 for x < t.
@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import BracketingError, CapacityError
 
-#: Relative tolerance of the region near-boundary rule; `bisect`'s bracket width.
+#: The bracket width at which `bisect` stops.
 DEFAULT_TOL = 1e-12
 
 

@@ -389,9 +389,8 @@ def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
         "optimal_count": len(winners) if len(winners) <= WITNESS_CAP else f">{WITNESS_CAP}",
         "pairs": [_witness_pair(bits, n) for bits in winners[:WITNESS_CAP]],
     }
-    return OracleResult(
-        value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}
-    )
+    config = {"n": n, "alpha": exact_text(alpha), "beta": exact_text(beta)}
+    return OracleResult(value, witnesses, "enumeration", config)
 
 
 def _witness_pair(bits: int, n: int) -> dict:
@@ -441,15 +440,18 @@ def conjecture_scan(n: int, k: int, l: int) -> dict:
     degenerate_from = max(k, n - l)
     checked = []
     first_violation = None
+    extra_a, extra_b = binom(n - 2, k - 1), binom(n - 2, l - 1)
     for j in range(degenerate_from):
-        size_a = star_a + binom(n - j - 2, k - j - 1)
-        size_b = star_b - binom(n - j - 2, l - 1)
+        size_a, size_b = star_a + extra_a, star_b - extra_b
         holds = size_a * size_b < star_product
         checked.append(
             {"j": j, "product": exact_text(size_a * size_b), "holds": holds}
         )
         if not holds and first_violation is None:
             first_violation = j
+        # m = n-j-2 >= l-1 > 0: C(m-1, s-1) = C(m, s) s/m, C(m-1, r) = C(m, r) (m-r)/m
+        extra_a = extra_a * (k - j - 1) // (n - j - 2)
+        extra_b = extra_b * (n - j - 1 - l) // (n - j - 2)
     hypothesis = {
         "holds": first_violation is None,
         "first_violation": first_violation,

@@ -4,14 +4,12 @@ Omega is the open triangle alpha > 0, beta > 1/2, alpha + beta < 1 where
 the maximum measure product is unresolved.  For each j >= 0 the j-th
 blocking pair beats the star pair once beta reaches the curve
 
-    e_j(alpha) = 1 - (a^j (1-a) / (1 + a^j (1-a)))^(1/(j+1)),
+    e_j(alpha) = 1 - r_j^(1/(j+1)),  r_j = t_j / (1 + t_j),  t_j = a^j (1-a),
 
 so the candidate region Delta is the part of Omega lying strictly below
-every e_j.  Membership is decided finitely, by one walk over the curves:
-it keeps their running minimum until the lower bound
-e_j >= 1 - (a^j (1-a))^(1/(j+1)), which increases to 1 - alpha, reaches
-it, so no later curve lies below.  Beta is then compared with that
-certified minimum alone; the walk stops by e_8 for alpha <= 0.49.
+every e_j.  One finite walk over the curves certifies their minimum (see
+`_envelope`), and beta is compared with it alone; the walk stops by e_8
+for alpha <= 0.49.
 
 The integer-side analogues C1 and C2 (exact rational evaluations) and the
 strengthened region Delta' defined by (2-a) b < 1 together with
@@ -20,28 +18,24 @@ conditions under which a window of first-family sizes keeps its size
 product below the star product; the window index i0 is found by a walk
 that stops where its test turns monotone.
 
-Every verdict on computed floats goes through one near-boundary rule,
-`_below`: lhs < rhs is decided only when |lhs - rhs| > DEFAULT_TOL *
-max(|lhs|, |rhs|), and raises UndecidableAtTolerance otherwise.  Raw
-inputs compare exactly; curve values are computed without the band.
+Every predicate reads its point as exact rationals (a float is one) and
+decides it with no tolerance band: polynomial tests in integers or
+Fraction, tests between logarithms by `_logs_below`.  A point on a
+boundary is not below it.  Curve values (e_j, the tables) stay floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .errors import (
-    CapacityError,
-    CertificationError,
-    NotFoundError,
-    UndecidableAtTolerance,
-)
+from .errors import CapacityError, NotFoundError
 from .exactarith import DEFAULT_TOL, bisect
 
-#: The envelope walk gives up unless a tail floor by e_DEFAULT_J_CAP certifies it.
-DEFAULT_J_CAP = 64
+#: Most digits `_logs_below` tries (30, 120, 480, 1920); an exact tie costs 0.5 s.
+MAX_LOG_DIGITS = 2000
 #: Most alphas one curve table may hold; every row is built in memory.
 MAX_GRID = 10**5
 #: Largest n condition_c2 takes; its harmonic sums grow O(n) Fractions whose
@@ -49,31 +43,42 @@ MAX_GRID = 10**5
 MAX_C2_N = 10**4
 
 
-def _below(lhs: float, rhs: float, what: str) -> bool:
-    """lhs < rhs under the near-boundary rule.
+def _logs_below(lhs, rhs, what: str) -> bool:
+    """Decide sum(c log x for c, x in lhs) < the same sum over rhs, where
+    each c >= 0 and x > 0 is an int or a Fraction.
 
-    Inside the band it raises UndecidableAtTolerance naming `what`.
+    The gap is evaluated in decimal at 30 digits, then four times as many
+    each round.  At p digits each quotient, product and sum rounds by at
+    most 5 * 10^-p relatively and Decimal.ln is correctly rounded, so with
+    a few terms the gap is off by under 10^(2-p) sum(c (|log x| + 1)); it
+    decides once it exceeds ten times that.  An exact tie never does: past
+    MAX_LOG_DIGITS digits this raises CapacityError naming `what`.
     """
-    if abs(lhs - rhs) > DEFAULT_TOL * max(abs(lhs), abs(rhs)):
-        return lhs < rhs
-    message = f"{what}: {lhs!r} vs {rhs!r}, within relative {DEFAULT_TOL}"
-    raise UndecidableAtTolerance(message)
+    digits = 30
+    while digits <= MAX_LOG_DIGITS:
+        with localcontext(Context(digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            gap = size = Decimal(0)
+            for sign, terms in ((1, lhs), (-1, rhs)):
+                for c, x in terms:
+                    coefficient = Decimal(c.numerator) / c.denominator
+                    log = (Decimal(x.numerator) / x.denominator).ln()
+                    gap += sign * coefficient * log
+                    size += coefficient * (abs(log) + 1)
+            if abs(gap) > size.scaleb(3 - digits):
+                return gap < 0
+        digits *= 4
+    raise CapacityError(f"{what}: not decided within {MAX_LOG_DIGITS} digits")
 
 
 def in_omega(alpha: float, beta: float) -> bool:
     """The open triangle where the maximum is unresolved."""
-    return alpha > 0 and beta > 0.5 and alpha + beta < 1
+    a, b = Fraction(alpha), Fraction(beta)
+    return a > 0 and 2 * b > 1 and a + b < 1
 
 
 def in_omega_prime(n: int, k: int, l: int) -> bool:
     """Integer analogue: k > 0, l > n/2, k + l < n."""
     return k > 0 and 2 * l > n and k + l < n
-
-
-def _log_one_minus_e(alpha: float, j: int) -> float:
-    """log(1 - e_j(alpha)), computed in the log domain to survive large j."""
-    inner = alpha**j * (1.0 - alpha)
-    return (j * math.log(alpha) + math.log1p(-alpha) - math.log1p(inner)) / (j + 1)
 
 
 def e_j(alpha: float, j: int) -> float:
@@ -82,44 +87,47 @@ def e_j(alpha: float, j: int) -> float:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    return 1.0 - math.exp(_log_one_minus_e(alpha, j))
+    # log(1 - e_j) in the log domain, to survive large j
+    inner = alpha**j * (1.0 - alpha)
+    log = (j * math.log(alpha) + math.log1p(-alpha) - math.log1p(inner)) / (j + 1)
+    return 1.0 - math.exp(log)
 
 
-def _e_tail_floor(alpha: float, j: int) -> float:
-    """Lower bound 1 - (a^j (1-a))^(1/(j+1)) <= e_j, increasing to 1 - alpha."""
-    return 1.0 - math.exp((j * math.log(alpha) + math.log1p(-alpha)) / (j + 1))
+def _envelope(alpha: float) -> tuple[int, int, int, int]:
+    """(first, certified, N_f, D_f): the first j attaining min_j e_j(alpha),
+    the j whose tail floor certified it, and r_f = N_f / D_f.
 
-
-def _envelope(alpha: float) -> tuple[float, int, int]:
-    """Certified min over all j >= 0 of e_j(alpha), the first j attaining it,
-    and the j whose tail floor certified it.
-
-    The floor increases in j, so once it reaches the running minimum no
-    later curve can lie below that minimum.
+    With alpha = p/q, N_j = p^j (q-p) = t_j q^(j+1) and D_j = q^(j+1) + N_j,
+    e_i < e_f iff r_i^(f+1) > r_f^(i+1), and the floor 1 - t_j^(1/(j+1)) <= e_j
+    reaches e_f iff t_j^(f+1) <= r_f^(j+1): integer cross-products.  The
+    floor rises to 1 - a (t_j^(1/(j+1)) = a ((1-a)/a)^(1/(j+1)) falls to a),
+    so no later curve lies below a minimum it reaches, and it reaches one:
+    e_j < 1 - a iff a^(j+1) (1-a) < 1 - 2a, true from some j on.
     """
-    if not 0 < alpha < 0.5:
+    p, q = alpha.as_integer_ratio()
+    if not 0 < 2 * p < q:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
-    best, first = math.inf, 0
-    for j in range(DEFAULT_J_CAP + 1):
-        curve = e_j(alpha, j)
-        if curve < best:
-            best, first = curve, j
-        if _e_tail_floor(alpha, j) >= best:
-            return best, first, j
-    raise CertificationError(
-        f"minimum over e_j not certified for alpha={alpha} within j <= {DEFAULT_J_CAP}"
-    )
+    num, scale = q - p, q
+    first, first_num, first_den = 0, num, scale + num
+    for j in itertools.count():
+        lead = num ** (first + 1)
+        ref_num, ref_den = first_num ** (j + 1), first_den ** (j + 1)
+        if lead * ref_den > ref_num * (scale + num) ** (first + 1):
+            first, first_num, first_den = j, num, scale + num
+        elif lead * ref_den <= ref_num * scale ** (first + 1):
+            return first, j, first_num, first_den
+        num, scale = num * p, scale * q
 
 
 def delta_report(alpha: float, beta: float) -> dict:
     """Detailed membership certificate for the region below every e_j.
 
-    Beta is compared with the certified minimum of the curves (see
-    `_envelope`): it lies below every e_j exactly when it lies below that
-    minimum.  checked_j counts the curves evaluated, tail_certified_at is
-    the j whose tail floor certified the minimum, min_margin is the
-    minimum minus beta, and violating_j, when beta is not below, is the
-    first curve attaining the minimum.
+    Beta lies below every e_j exactly when it lies below their certified
+    minimum e_f (see `_envelope`): (1-b)^(f+1) > r_f, in integers.
+    checked_j counts the curves walked, tail_certified_at is the j whose
+    tail floor certified the minimum, min_margin is the float minimum minus
+    beta, and violating_j, when beta is not below, is the first curve
+    attaining the minimum.
     """
     report = {
         "alpha": alpha,
@@ -133,13 +141,13 @@ def delta_report(alpha: float, beta: float) -> dict:
     }
     if not report["in_omega"]:
         return report
-    value, first, certified = _envelope(alpha)
-    holds = _below(beta, value, f"Delta at ({alpha}, {beta})")
+    first, certified, r_num, r_den = _envelope(alpha)
+    holds = (1 - Fraction(beta)) ** (first + 1) * r_den > r_num
     report.update(
         holds=holds,
         checked_j=certified + 1,
         tail_certified_at=certified,
-        min_margin=value - beta,
+        min_margin=e_j(alpha, first) - beta,
         violating_j=None if holds else first,
     )
     return report
@@ -151,8 +159,8 @@ def in_delta(alpha: float, beta: float) -> bool:
 
 
 def delta_boundary(alpha: float) -> float:
-    """Certified value of min over all j >= 0 of e_j(alpha)."""
-    return _envelope(alpha)[0]
+    """min over all j >= 0 of e_j(alpha), at the certified first minimizer."""
+    return e_j(alpha, _envelope(alpha)[0])
 
 
 def _check_uniform_params(n: int, k: int, l: int) -> None:
@@ -177,19 +185,14 @@ def condition_c2(n: int, k: int, l: int) -> bool:
     return (n - k) * first - (n - l) * second < 0
 
 
-def _delta_prime_log_sides(alpha: float, beta: float) -> tuple[float, float]:
-    """Both sides of the Delta' log test (1-a) log(1/(1-b)) < (1-b) log(1/a)."""
-    la, lb = math.log(1.0 / alpha), math.log(1.0 / (1.0 - beta))
-    return (1.0 - alpha) * lb, (1.0 - beta) * la
-
-
 def in_delta_prime(alpha: float, beta: float) -> bool:
     """Strengthened region: (2-a) b < 1 and (1-a) log(1/(1-b)) < (1-b) log(1/a)."""
     if not in_omega(alpha, beta):
         return False
-    what = f"Delta' at ({alpha}, {beta})"
-    linear = _below((2.0 - alpha) * beta, 1.0, what)
-    return linear and _below(*_delta_prime_log_sides(alpha, beta), what)
+    a, b = Fraction(alpha), Fraction(beta)
+    what = f"Delta' at ({float(a)}, {float(b)})"
+    linear = (2 - a) * b < 1
+    return linear and _logs_below([(1 - a, 1 / (1 - b))], [(1 - b, 1 / a)], what)
 
 
 def delta_prime_boundary(alpha: float) -> float:
@@ -202,8 +205,8 @@ def delta_prime_boundary(alpha: float) -> float:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
 
     def below(b: float) -> bool:
-        lhs, rhs = _delta_prime_log_sides(alpha, b)
-        return lhs < rhs
+        la, lb = math.log(1.0 / alpha), math.log(1.0 / (1.0 - b))
+        return (1.0 - alpha) * lb < (1.0 - b) * la
 
     root = bisect(below, DEFAULT_TOL, 1.0 - DEFAULT_TOL)
     return min(root, 1.0 / (2.0 - alpha))
@@ -257,21 +260,25 @@ def i0(alpha: float) -> int:
 
     holds for every i' >= i.  With j = i - 2, t = a^j (1-a), la = log(1/a),
     lb = log(1/(1-a)) and L = log(1 + t), the test times j + 1 reads
-    g(j) = L + t (j la + lb + L) < la - lb, and la - lb > 0 for a < 1/2.
-    For j >= 1, g strictly decreases to 0: t, L and j a^j all fall, since
-    (j + 1) a < j.  So the walk ends at the first j >= 1 that passes.
+    (1 + t)(j la + lb + L) < (j + 1) la, that is g(j) = L + t (j la + lb + L)
+    < la - lb, and la - lb > 0 for a < 1/2.  For j >= 1, g strictly
+    decreases to 0: t, L and j a^j all fall, since (j + 1) a < j.  So the
+    walk ends at the first j >= 1 that passes.  Each test is decided by
+    `_logs_below`.
     """
-    if not 0 < alpha < 0.5:
+    a = Fraction(alpha)
+    if not 0 < 2 * a < 1:
         raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
-    log_inv_alpha = -math.log(alpha)
-    what = f"window condition of i0 at alpha = {alpha}"
-    last_fail = None
+    inv_a, inv_abar = 1 / a, 1 / (1 - a)
+    what = f"window condition of i0 at alpha = {float(a)}"
+    last_fail, t = None, 1 - a
     for j in itertools.count():
-        lhs = -(1.0 + alpha**j * (1.0 - alpha)) * _log_one_minus_e(alpha, j)
-        if not _below(lhs, log_inv_alpha, what):
+        lhs = [((1 + t) * j, inv_a), (1 + t, inv_abar), (1 + t, 1 + t)]
+        if not _logs_below(lhs, [(j + 1, inv_a)], what):
             last_fail = j + 2
         elif j >= 1:
             return 2 if last_fail is None else last_fail + 1
+        t *= a
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +319,22 @@ def product_bound_condition(
     if t > 1 and (epsilon is None or epsilon < t - 2):
         raise ValueError(f"kind {kind} needs an epsilon offset >= {t - 2}")
     e = epsilon or 0
-    ab, bb = 1.0 - alpha, 1.0 - beta
-    la, lb = -math.log(alpha), -math.log1p(-beta)
-    # the first factor as 1 - (1-b)^(i-2) + (1-b)^(i-2) b^(t-1): no cancellation
-    first = -math.expm1(-(i - 2) * lb) + bb ** (i - 2) * beta ** (t - 1)
-    lhs = first * lb * ab**t * alpha ** (i - t + e)
-    growth = 1.0 + alpha ** (i - 2) * sum(ab**s for s in range(1, t))
-    rhs = growth * la * alpha * beta ** (t - 1) * bb ** (i - t + e)
-    return _below(lhs, rhs, f"window bound {kind}({i}, {e}) at ({alpha}, {beta})")
+    a, b = Fraction(alpha), Fraction(beta)
+    abar, bbar = 1 - a, 1 - b
+    first = 1 - bbar ** (i - 2) + bbar ** (i - 2) * b ** (t - 1)
+    lhs = first * abar**t * a ** (i - t + e)
+    growth = 1 + a ** (i - 2) * sum(abar**s for s in range(1, t))
+    rhs = growth * a * b ** (t - 1) * bbar ** (i - t + e)
+    what = f"window bound {kind}({i}, {e}) at ({float(a)}, {float(b)})"
+    return _logs_below([(lhs, 1 / bbar)], [(rhs, 1 / a)], what)
 
 
 def tail_bound(t: int, alpha: float, beta: float) -> bool:
     """Coarse cut for deep windows: (1 + (1-a) + ... + (1-a)^t) b^(t-1) < 1."""
     if t < 4:
         raise ValueError(f"need t >= 4, got {t}")
-    gamma = sum((1.0 - alpha) ** p for p in range(t + 1))
-    return _below(gamma * beta ** (t - 1), 1.0, f"tail bound {t} at ({alpha}, {beta})")
+    a, b = Fraction(alpha), Fraction(beta)
+    return (1 - (1 - a) ** (t + 1)) / a * b ** (t - 1) < 1
 
 
 # ---------------------------------------------------------------------------

@@ -352,10 +352,10 @@ def reference_sweep(n, k, l):
 # ---------------------------------------------------------------------------
 #
 # Each function returns both sides of one comparison a region predicate
-# makes, evaluated from the exact float inputs: Fractions for the
-# polynomial tests, decimal's ln and exp at REFERENCE_DIGITS digits for the
-# log ones.  The sides are the ones the float code compares, so the
-# relative gap between them says how far a point lies from that boundary.
+# makes, evaluated from the exact inputs: Fractions for the polynomial
+# tests, decimal's ln and exp at REFERENCE_DIGITS digits for the log ones.
+# The relative gap between the sides says how far a point lies from that
+# boundary.
 
 REFERENCE_DIGITS = 50
 
@@ -372,7 +372,7 @@ def _dec(x):
 
 
 def relative_gap(lhs, rhs):
-    """|lhs - rhs| / max(|lhs|, |rhs|), the distance the near-boundary rule reads."""
+    """|lhs - rhs| / max(|lhs|, |rhs|): how far two sides lie from a tie."""
     with _digits():
         lhs, rhs = _dec(lhs), _dec(rhs)
         larger = max(abs(lhs), abs(rhs))
@@ -393,7 +393,7 @@ def reference_e(alpha, j):
         return 1 - ((t.ln() - (1 + t).ln()) / (j + 1)).exp()
 
 
-def reference_e_tail_floor(alpha, j):
+def reference_tail_floor(alpha, j):
     """The lower bound 1 - (a^j (1-a))^(1/(j+1)) on e_j."""
     with _digits():
         a = decimal.Decimal(alpha)
@@ -401,7 +401,8 @@ def reference_e_tail_floor(alpha, j):
 
 
 def reference_envelope(alpha):
-    """min over j >= 0 of e_j(alpha), walked until the tail floor reaches it.
+    """min over j >= 0 of e_j(alpha), walked until the tail floor reaches it,
+    and the j whose floor did.
 
     The floor increases in j for alpha < 1/2, so no later curve lies below.
     """
@@ -409,8 +410,8 @@ def reference_envelope(alpha):
     for j in itertools.count():
         curve = reference_e(alpha, j)
         best = curve if best is None else min(best, curve)
-        if reference_e_tail_floor(alpha, j) >= best:
-            return best
+        if reference_tail_floor(alpha, j) >= best:
+            return best, j
 
 
 def reference_delta_prime_sides(alpha, beta):

@@ -1,10 +1,12 @@
 import ast
+import decimal
 import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,13 @@ def test_check_claims_bundle(capsys):
     detail = json.loads(out)["conditions"]["claims"]["detail"]
     assert detail["A(2,1)"] and detail["B(2,2)"]
     assert any(name.startswith("C(i0=") for name in detail)
+
+
+@pytest.mark.parametrize("point", [[], ["--beta", "0.6"]], ids=["no-point", "beta-only"])
+def test_check_integer_condition_without_nkl_names_the_integers(capsys, point):
+    code, out, err = run(capsys, "check", *point, "--conditions", "c1")
+    assert (code, out) == (2, "")
+    assert "condition 'c1' needs integer arguments n k l" in err
 
 
 def test_check_mixed_mode_rejected(capsys):
@@ -462,6 +471,13 @@ def test_measure_capacity_exit(capsys):
     code, _, err = run(capsys, "measure", "7", "--alpha", "1/4", "--beta", "11/20")
     assert code == 3
     assert "cap" in err
+
+
+def test_measure_with_an_unprintable_bias_exits_3(capsys):
+    # 10^5000 has more digits than Python prints as one integer
+    code, out, err = run(capsys, "measure", "3", "--alpha", "1e-5000", "--beta", "1/2")
+    assert (code, out) == (3, "")
+    assert "digit limit" in err
 
 
 def test_scan_stream(capsys):
@@ -787,16 +803,36 @@ def test_threads_env(monkeypatch, capsys):
     assert (code, out) == (0, plain)
 
 
-def test_undecidable_point_exits_with_capacity_code(capsys):
-    from crossint.regions import delta_boundary
+def _below_delta_prime_log_root(alpha, digits):
+    """A decimal with `digits` places, 1 to 2 units of the last place below
+    the beta where (1-a) log(1/(1-b)) = (1-b) log(1/a)."""
+    with decimal.localcontext(decimal.Context(prec=digits + 20)):
+        a = decimal.Decimal(alpha)
+        lo, hi = decimal.Decimal("0.5"), decimal.Decimal("0.55")
+        unit = decimal.Decimal(10) ** -digits
+        while hi - lo > unit / 1000:
+            mid = (lo + hi) / 2
+            if (1 - a) * -(1 - mid).ln() < (1 - mid) * -a.ln():
+                lo = mid
+            else:
+                hi = mid
+        return str(lo.quantize(unit, rounding=decimal.ROUND_FLOOR) - unit)
 
-    boundary = delta_boundary(0.25)
-    code, _, err = run(
-        capsys, "check", "--alpha", "0.25", "--beta", repr(boundary),
-        "--conditions", "delta",
-    )
-    assert code == 3
-    assert "within" in err
+
+def test_undecidable_point_exits_with_capacity_code(capsys, monkeypatch):
+    # 10^-60 below the Delta' log boundary: 30 digits cannot separate the
+    # sides, 120 can
+    from crossint import regions
+
+    beta = _below_delta_prime_log_root("0.45", 60)
+    argv = ["check", "--alpha", "0.45", "--beta", beta, "--conditions", "delta-prime"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["conditions"]["delta-prime"] is True
+    monkeypatch.setattr(regions, "MAX_LOG_DIGITS", 30)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "Delta' at (0.45, " in err and "not decided within 30 digits" in err
 
 
 @pytest.mark.parametrize(
@@ -814,24 +850,70 @@ def test_claims_at_underflowing_points_exit_without_a_traceback(capsys, point):
     assert (out == "") == (code == 3)
 
 
-def test_each_point_condition_exits_3_on_its_boundary(capsys):
+def test_each_point_condition_is_decided_on_its_boundary(capsys):
+    # the last double on one side of each boundary: the sides differ by a
+    # few units in the last place, and the 50-digit reference separates them
     on_log_test = reference_root(
         lambda b: reference_delta_prime_sides(0.45, b)[1], 0.5, 0.55
     )
     on_window_a21 = reference_root(
         lambda b: reference_window_sides(0.25, b, 2, 1, "A"), 0.55, 0.9
     )
-    for point, conditions, named in [
-        ((0.25, 1 / 1.75), "delta-prime", "Delta'"),  # on (2 - alpha) beta = 1
-        ((0.45, on_log_test), "delta-prime", "Delta'"),
-        ((0.25, on_window_a21), "claims", "window bound A(2, 1)"),
+    for point, conditions in [
+        ((0.25, 1 / 1.75), "delta-prime"),  # on (2 - alpha) beta = 1
+        ((0.45, on_log_test), "delta-prime"),
+        ((0.25, on_window_a21), "claims"),
     ]:
-        code, out, err = run(
+        code, out, _ = run(
             capsys, "check", "--alpha", repr(point[0]), "--beta", repr(point[1]),
             "--conditions", conditions,
         )
-        assert (code, out) == (3, ""), (point, conditions)
-        assert named in err and "within" in err
+        # check reads the decimal text, not the double it names
+        exact = [decimal.Decimal(repr(x)) for x in point]
+        verdict = json.loads(out)["conditions"][conditions]
+        if conditions == "claims":
+            verdict = verdict["detail"]["A(2,1)"]
+            sides = [reference_window_sides(*exact, 2, 1, "A")]
+        else:
+            sides = reference_delta_prime_sides(*exact)
+        assert code in (0, 1), (point, conditions)
+        assert verdict == all(lhs < rhs for lhs, rhs in sides), (point, conditions)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, conditions",
+    [
+        ("1/5", "5/9", "delta"),  # (n, k, l) = (45, 9, 25)
+        ("1/8", "8/15", "delta,delta-prime"),  # (120, 15, 64)
+        ("1/3", "3/5", "delta,delta-prime"),  # (30, 10, 18)
+    ],
+)
+def test_check_decides_lattice_points_on_e0(capsys, alpha, beta, conditions):
+    # (k/n, l/n) with (2n - k) l = n^2: (2 - a) b = 1, so the point lies on
+    # e_0 and on the linear Delta' boundary, and neither strict test holds
+    assert (2 - Fraction(alpha)) * Fraction(beta) == 1
+    code, out, _ = run(
+        capsys, "check", "--alpha", alpha, "--beta", beta, "--conditions", conditions
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert not any(report["conditions"].values())
+    assert report["alpha"] == float(Fraction(alpha))
+
+
+def test_check_reads_a_decimal_bias_exactly(capsys):
+    # 0.2 is 1/5 exactly here, so (0.2, 5/9) lies on e_0 and is not below it
+    code, out, _ = run(
+        capsys, "check", "--alpha", "0.2", "--beta", "5/9", "--conditions", "delta"
+    )
+    assert code == 1
+    assert json.loads(out)["alpha"] == 0.2
+    for text in ("1e-400", "0.99999999999999999999", "1/0", "3/2", "1e999999999"):
+        code, out, err = run(
+            capsys, "check", "--alpha", text, "--beta", "0.6", "--conditions", "delta"
+        )
+        assert (code, out) == (2, ""), text
+        assert "number" in err
 
 
 def test_reports_carry_no_wall_time(capsys):

@@ -1,7 +1,10 @@
+import ast
 import inspect
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -149,7 +152,7 @@ TUNING_KWARGS = {
 def test_public_api_has_no_tuning_kwargs():
     # caps, tolerances and budgets are module constants, read when called
     checked = 0
-    assert len(crossint.__all__) == 52
+    assert len(crossint.__all__) == 50
     for name in crossint.__all__:
         obj = getattr(crossint, name)
         if not callable(obj):
@@ -167,6 +170,28 @@ def test_public_api_has_no_tuning_kwargs():
             assert not params & TUNING_KWARGS, (name, target, params & TUNING_KWARGS)
             checked += 1
     assert checked == 46
+
+
+def test_readme_lists_every_module_constant():
+    # the README's constants table says "These are all of them"
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\| `(\w+\.[A-Z][A-Z0-9_]*)` \|", readme, re.MULTILINE)
+    defined = []
+    for module in ("exactarith", "cascade", "families", "regions", "oracle"):
+        tree = ast.parse((root / "src" / "crossint" / f"{module}.py").read_text())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)
+            ]
+            defined += [
+                f"{module}.{target.id}"
+                for target in targets
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+            ]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(defined)
+    assert len(defined) == 11
 
 
 RECORDS = [

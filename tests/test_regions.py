@@ -1,4 +1,4 @@
-import contextlib
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -8,12 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossint import regions
-from crossint.errors import (
-    CapacityError,
-    CertificationError,
-    UndecidableAtTolerance,
-)
-from crossint.exactarith import DEFAULT_TOL, binom
+from crossint.errors import CapacityError
+from crossint.exactarith import binom
 from crossint.families import (
     a_family_uniform,
     b_family_uniform,
@@ -113,31 +109,34 @@ def test_in_delta_monotone_in_beta():
         beta = rng.uniform(0.505, 0.94)
         if alpha + beta >= 1:
             continue
-        try:
-            if in_delta(alpha, beta):
-                lower = 0.5 + (beta - 0.5) * rng.random()
-                if lower > 0.5 + 1e-9:
-                    assert in_delta(alpha, lower)
-        except UndecidableAtTolerance:
-            continue
+        if in_delta(alpha, beta):
+            lower = 0.5 + (beta - 0.5) * rng.random()
+            if lower > 0.5 + 1e-9:
+                assert in_delta(alpha, lower)
 
 
-def test_in_delta_boundary_is_undecidable():
-    alpha = 0.25
-    beta = delta_boundary(alpha)
-    with pytest.raises(UndecidableAtTolerance):
-        in_delta(alpha, beta)
-    with pytest.raises(UndecidableAtTolerance):
-        in_delta(alpha, beta - 1e-14)
+def test_in_delta_is_false_on_its_boundary():
+    # at alpha = 1/4 the minimum of the curves is e_0 = 1 / (2 - alpha) = 4/7
+    alpha, beta = Fraction(1, 4), Fraction(4, 7)
+    assert delta_report(alpha, beta)["violating_j"] == 0
+    assert not in_delta(alpha, beta)
+    assert in_delta(alpha, beta - Fraction(1, 10**30))
+    # the nearest double to 4/7 lies on one side of it, and is decided so
+    nearest = delta_boundary(0.25)
+    assert in_delta(0.25, nearest) == (Fraction(nearest) < beta)
+    # the lattice points (k/n, l/n) with (2n - k) l = n^2 lie on e_0
+    for alpha, beta in [(Fraction(1, 5), Fraction(5, 9)), (Fraction(1, 8), Fraction(8, 15))]:
+        assert beta == 1 / (2 - alpha)
+        assert not in_delta(alpha, beta)
+        assert in_delta(alpha, beta - Fraction(1, 10**30))
 
 
-def test_in_delta_needs_enough_curves(monkeypatch):
-    # certifying the tail this close to 1 - alpha needs more than 5 curves
-    monkeypatch.setattr(regions, "DEFAULT_J_CAP", 3)
-    with pytest.raises(CertificationError):
-        in_delta(0.499, 0.50062)
-    monkeypatch.setattr(regions, "DEFAULT_J_CAP", 64)
-    assert in_delta(0.499, 0.50062)
+def test_in_delta_needs_enough_curves():
+    # certifying the tail this close to 1 - alpha takes more than 5 curves
+    report = delta_report(0.499, 0.50062)
+    assert report["holds"]
+    assert report["tail_certified_at"] > 5
+    assert report["tail_certified_at"] == reference_envelope(0.499)[1]
     # and a point between the envelope minimum and its late tail is rejected
     assert not in_delta(0.499, 0.50085)
 
@@ -154,8 +153,10 @@ def test_in_delta_walks_at_most_nine_curves(monkeypatch):
     monkeypatch.setattr(regions, "e_j", counting_e_j)
     for alpha in [1e-300, 1e-9] + [i / 1000 for i in range(1, 491)]:
         calls = 0
-        in_delta(alpha, 0.75 - alpha / 2)  # halfway up the slice of Omega
-        assert 1 <= calls <= 9, alpha
+        report = delta_report(alpha, 0.75 - alpha / 2)  # halfway up the slice
+        assert 1 <= report["checked_j"] <= 9, alpha
+        # the walk compares integers; only min_margin evaluates a curve
+        assert calls == 1, alpha
 
 
 def test_delta_report_reads_the_envelope():
@@ -166,18 +167,17 @@ def test_delta_report_reads_the_envelope():
         beta = rng.uniform(0.5, 1 - alpha)
         if not in_omega(alpha, beta):
             continue
-        with contextlib.suppress(UndecidableAtTolerance):
-            report = delta_report(alpha, beta)
-            decided += 1
-            assert report["min_margin"] + beta == delta_boundary(alpha)
-            assert report["holds"] == (report["min_margin"] > 0)
-            assert report["checked_j"] == report["tail_certified_at"] + 1
-            if report["holds"]:
-                assert report["violating_j"] is None
-            else:
-                j = report["violating_j"]
-                assert e_j(alpha, j) == delta_boundary(alpha)
-                assert all(e_j(alpha, i) > e_j(alpha, j) for i in range(j))
+        report = delta_report(alpha, beta)
+        decided += 1
+        assert report["min_margin"] + beta == delta_boundary(alpha)
+        assert report["holds"] == (report["min_margin"] > 0)
+        assert report["checked_j"] == report["tail_certified_at"] + 1
+        if report["holds"]:
+            assert report["violating_j"] is None
+        else:
+            j = report["violating_j"]
+            assert e_j(alpha, j) == delta_boundary(alpha)
+            assert all(e_j(alpha, i) > e_j(alpha, j) for i in range(j))
     assert decided > 250
 
 
@@ -265,22 +265,26 @@ def test_e_crossing_values():
         e_crossing(3)
 
 
-def _counting_log_one_minus_e(monkeypatch):
-    """Record the j of every window test i0 makes."""
+def _counting_logs_below(monkeypatch):
+    """Record the j of every window test i0 makes.
+
+    Each test compares a sum of logarithms with (j + 1) log(1/alpha), so
+    the right side's coefficient gives j.
+    """
     calls = []
-    original = regions._log_one_minus_e
+    original = regions._logs_below
 
-    def counted(alpha, j):
-        calls.append(j)
-        return original(alpha, j)
+    def counted(lhs, rhs, what):
+        calls.append(rhs[0][0] - 1)
+        return original(lhs, rhs, what)
 
-    monkeypatch.setattr(regions, "_log_one_minus_e", counted)
+    monkeypatch.setattr(regions, "_logs_below", counted)
     return calls
 
 
 def test_i0_scan(monkeypatch):
     # the walk tests j = 0, 1, ... and stops at the first j >= 1 that passes
-    calls = _counting_log_one_minus_e(monkeypatch)
+    calls = _counting_logs_below(monkeypatch)
     first = i0(0.25)
     assert first == 3
     assert calls == [0, 1]
@@ -295,7 +299,7 @@ def test_i0_scan(monkeypatch):
 
 def test_i0_walk_is_short_up_to_the_edge(monkeypatch):
     # g(j) falls below log((1-a)/a) within about 40 indices up to 0.4999999
-    calls = _counting_log_one_minus_e(monkeypatch)
+    calls = _counting_logs_below(monkeypatch)
     for alpha in [idx / 1000 for idx in range(1, 500)] + [0.4999999]:
         calls.clear()
         first = i0(alpha)
@@ -449,11 +453,12 @@ def test_curve_samples_cap_grid_before_building(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The near-boundary rule against the 50-digit reference
+# Exact verdicts against the 50-digit reference
 # ---------------------------------------------------------------------------
 
-# "A few" tolerances: the doubles' own error stays well inside this margin.
-REFERENCE_BAND = 10 * DEFAULT_TOL
+# Below this relative gap the 50-digit reference itself cannot separate
+# the sides; every point above it is compared.
+REFERENCE_BAND = 1e-40
 
 unit = st.floats(0, 1, exclude_min=True, exclude_max=True)
 # (i, epsilon, kind), in the order product_bound_condition takes them
@@ -484,23 +489,10 @@ def clear(*comparisons):
     return all(relative_gap(lhs, rhs) > REFERENCE_BAND for lhs, rhs in comparisons)
 
 
-# A double side this small may have underflowed on the way, and the inverse
-# of an input this small overflows; either lands in the band.
-TINY = 1e-300
-
-
-def assert_matches(call, comparisons, expected, point):
-    """Outside the band, call() gives the reference verdict.
-
-    It may also be undecided, but only where a side or an input is tiny.
-    """
-    if not clear(*comparisons):
-        return
-    try:
+def assert_matches(call, comparisons, expected):
+    """Wherever the reference separates the sides, call() gives its verdict."""
+    if clear(*comparisons):
         assert call() == expected
-    except UndecidableAtTolerance:
-        sides = [abs(x) for pair in comparisons for x in pair]
-        assert min(*sides, *point) < TINY
 
 
 @reference_settings
@@ -512,60 +504,90 @@ def test_verdicts_match_the_reference_outside_the_band(point, t, window_args):
         (product_bound_condition, (alpha, beta, *window_args), reference_window_sides),
     ]:
         sides = reference(*args)
-        assert_matches(lambda: predicate(*args), [sides], sides[0] < sides[1], point)
+        assert_matches(lambda: predicate(*args), [sides], sides[0] < sides[1])
     if 0 < alpha < 0.5:
         sides = reference_i0_sides(alpha, 1000)
         fails = [i for i, (lhs, rhs) in enumerate(sides, start=2) if lhs >= rhs]
-        assert_matches(lambda: i0(alpha), sides, fails[-1] + 1 if fails else 2, point)
+        assert_matches(lambda: i0(alpha), sides, fails[-1] + 1 if fails else 2)
     if not in_omega(alpha, beta):
         assert not in_delta_prime(alpha, beta)
         assert not in_delta(alpha, beta)
         return
     sides = reference_delta_prime_sides(alpha, beta)
     expected = all(lhs < rhs for lhs, rhs in sides)
-    assert_matches(lambda: in_delta_prime(alpha, beta), sides, expected, point)
-    envelope = reference_envelope(alpha)
-    sides = [(beta, envelope)]
-    assert_matches(lambda: in_delta(alpha, beta), sides, beta < envelope, point)
+    assert_matches(lambda: in_delta_prime(alpha, beta), sides, expected)
+    envelope, _ = reference_envelope(alpha)
+    assert_matches(lambda: in_delta(alpha, beta), [(beta, envelope)], beta < envelope)
 
 
 @reference_settings
 @given(unit, unit, st.integers(4, 200), windows)
-def test_float_path_raises_only_undecidable_or_uncertified(alpha, beta, t, window_args):
+def test_every_predicate_decides_every_point_but_an_exact_tie(alpha, beta, t, window_args):
+    # the polynomial tests always decide; a log test raises only where its
+    # sides are equal, as (1-a) log(1/(1-b)) and (1-b) log(1/a) are at a = b
+    assert isinstance(tail_bound(t, alpha, beta), bool)
+    assert isinstance(in_delta(alpha, beta), bool)
     calls = [
-        lambda: tail_bound(t, alpha, beta),
-        lambda: product_bound_condition(alpha, beta, *window_args),
-        lambda: in_delta_prime(alpha, beta),
-        lambda: in_delta(alpha, beta),
+        (
+            lambda: product_bound_condition(alpha, beta, *window_args),
+            [reference_window_sides(alpha, beta, *window_args)],
+        ),
+        (lambda: in_delta_prime(alpha, beta), reference_delta_prime_sides(alpha, beta)),
     ]
     if alpha < 0.5:
-        calls.append(lambda: i0(alpha))
-    for call in calls:
-        with contextlib.suppress(UndecidableAtTolerance, CertificationError):
+        calls.append((lambda: i0(alpha), reference_i0_sides(alpha, 60)))
+    for call, comparisons in calls:
+        try:
             call()
+        except CapacityError:
+            assert not clear(*comparisons)
 
 
-def test_each_predicate_is_undecidable_on_its_boundary():
+def test_each_predicate_is_decided_on_its_boundary():
+    # each point is the last double on one side of a boundary, so the sides
+    # differ by a few units in the last place: inside the old 1e-12 band,
+    # but far outside the reference's
     log_root = reference_root(
         lambda b: reference_delta_prime_sides(0.45, b)[1], 0.5, 0.55
     )
     i0_jump = reference_root(lambda a: reference_i0_sides(a, 2)[0], 0.2, 0.3)
     gamma = sum(0.5**p for p in range(5))
+    tail_beta = gamma ** (-1 / 3)
+    sides = reference_i0_sides(i0_jump, 1000)
+    fails = [i for i, (lhs, rhs) in enumerate(sides, start=2) if lhs >= rhs]
     # in_delta has its own boundary tests above
-    calls = [
-        (in_delta_prime, 0.25, 1 / 1.75),  # on (2 - a) b = 1
-        (in_delta_prime, 0.45, log_root),
-        (tail_bound, 4, 0.5, gamma ** (-1 / 3)),
-        (i0, i0_jump),
+    cases = [
+        (in_delta_prime, (0.25, 1 / 1.75), reference_delta_prime_sides(0.25, 1 / 1.75)),
+        (in_delta_prime, (0.45, log_root), reference_delta_prime_sides(0.45, log_root)),
+        (tail_bound, (4, 0.5, tail_beta), [reference_tail_bound_sides(4, 0.5, tail_beta)]),
     ]
     for kind, i, eps in [("C", 2, None), ("C", 5, None), ("A", 2, 1), ("B", 3, 1)]:
         beta = reference_root(
             lambda b: reference_window_sides(0.3, b, i, eps, kind), 0.01, 0.99
         )
-        calls.append((product_bound_condition, 0.3, beta, i, eps, kind))
-    for predicate, *args in calls:
-        with pytest.raises(UndecidableAtTolerance):
-            predicate(*args)
+        args = (0.3, beta, i, eps, kind)
+        cases.append((product_bound_condition, args, [reference_window_sides(*args)]))
+    cases.append((i0, (i0_jump,), sides))
+    for predicate, args, comparisons in cases:
+        gaps = [relative_gap(lhs, rhs) for lhs, rhs in comparisons]
+        assert REFERENCE_BAND < min(gaps) < 1e-12, (predicate, args)
+        if predicate is i0:
+            expected = fails[-1] + 1 if fails else 2
+        else:
+            expected = all(lhs < rhs for lhs, rhs in comparisons)
+        assert predicate(*args) == expected, (predicate, args)
+
+
+def test_logs_below_raises_past_its_precision_cap_on_an_exact_tie():
+    what = "2 log 2 against log 4"
+    with pytest.raises(CapacityError, match=f"{what}: not decided within 2000 digits"):
+        regions._logs_below([(2, Fraction(2))], [(1, Fraction(4))], what)
+    # log(2^100 + 1) exceeds 100 log 2 by about 2^-100: more than 30 digits
+    near = [(1, Fraction(2**100 + 1))]
+    assert regions._logs_below([(100, 2)], near, "near tie")
+    assert not regions._logs_below(near, [(100, 2)], "near tie")
+    with decimal.localcontext(decimal.Context(prec=50)):
+        assert decimal.Decimal(2**100 + 1).ln() - 100 * decimal.Decimal(2).ln() < 1e-29
 
 
 def test_window_bound_decides_next_to_its_boundary_at_small_beta():
