@@ -182,11 +182,12 @@ def _point_conditions(alpha: Fraction, beta: Fraction, wanted: list[str]) -> dic
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import regions
+    known = ("c1", "c2", "delta", "delta-prime", "claims")
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
-    if not wanted:
-        raise ValueError(
-            "no condition given; choose from c1,c2,delta,delta-prime,claims"
-        )
+    unknown = [name for name in wanted if name not in known]
+    if unknown or not wanted:
+        what = f"unknown condition {unknown[0]!r}" if unknown else "no condition given"
+        raise ValueError(f"{what}; choose from {','.join(known)}")
     integer_mode = bool(args.nkl)
     body: dict = {"conditions": {}}
     if integer_mode:
@@ -205,7 +206,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 raise ValueError(f"condition {name!r} needs --alpha/--beta")
     else:
         for name in wanted:
-            if name not in ("delta", "delta-prime", "claims"):
+            if name in ("c1", "c2"):
                 raise ValueError(f"condition {name!r} needs integer arguments n k l")
         if args.alpha is None or args.beta is None:
             raise ValueError("point conditions need both --alpha and --beta")

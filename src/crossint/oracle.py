@@ -109,43 +109,34 @@ def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
 def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     """Max of m * kk_cross_bound over m = 1..C(n,k), with every argmax m.
 
-    The shadow bound is additive over cascade digits and _advance rewrites
-    only the last digit, so shadow[i], the bound of the first i digits, is
-    kept current with one table lookup per size instead of being re-summed.
+    The shadow bound of m is S(m) = sum of C(a, lev - drop) over the cascade
+    digits (a, lev) of m, and _advance moves it by step[lev] =
+    C(lev-1, lev-1-drop), where lev is the level of m's last digit.  Above
+    level 1, _advance appends the digit (lev-1, lev-1), adding exactly that.
+    At level 1 it bumps (a, 1) to (a+1, 1), adding C(a, -drop) = C(0, -drop),
+    1 when drop = 0 and 0 otherwise.  Each merge of C(a, j+1) + C(a, j) into
+    C(a+1, j+1) leaves S as it was, by Pascal's rule C(a, t) + C(a, t-1) =
+    C(a+1, t), which holds for every integer t.  So one addition per size
+    keeps S current.
     """
     u, drop = n - k, n - k - l
     layer = binom(n, l)
-    # Digits strictly decrease from a top digit of at most n, so a digit
-    # (a, lev) of any m <= C(n,k) has lev <= a <= k + lev; the size _advance
-    # emits after the last one needs a = k + lev + 1 only for C(n+1, 1) when
-    # u = 1.  Row lev holds C(a, lev - drop) at index a - lev for those k + 2
-    # values of a.  No row evaluates a binomial: with t = lev - drop, C(lev, t)
-    # comes from the previous row's first entry C(lev-1, t-1) times lev/t,
-    # and the row goes on by C(a+1, t) = C(a, t) * (a+1)/(a+1-t); both
-    # divisions are exact, and t <= 0 gives a row of 1s or 0s.
-    term = [[]]
-    first = binom(0, -drop)
-    for lev in range(1, u + 1):
-        t = lev - drop
-        first = first * lev // t if t > 0 else binom(lev, t)
-        row = [first]
-        for a in range(lev, lev + k + 1):
-            row.append(row[-1] * (a + 1) // (a + 1 - t))
-        term.append(row)
-    digits, depth = [(u, u)], 1  # m = 1 is the one digit C(u, u)
-    shadow = [0] * (u + 1)
-    shadow[1] = term[u][0]
+    # step[x + 1] = C(x, x - drop): 0 below x = drop, 1 at it, and above it
+    # C(x, x - drop) = C(x-1, x-1-drop) * x / (x - drop), an exact division
+    step, c = [0], 0
+    for x in range(u):
+        c = 1 if x == drop else c * x // (x - drop)
+        step.append(c)
+    digits, shadow = [(u, u)], binom(u, l)  # m = 1 is the one digit C(u, u)
     best, wits = -1, []
     for m in range(1, binom(n, k) + 1):
-        val = m * (layer - shadow[depth])
+        val = m * (layer - shadow)
         if val > best:
             best, wits = val, [m]
         elif val == best:
             wits.append(m)
+        shadow += step[digits[-1][1]]
         _advance(digits)
-        depth = len(digits)
-        a, lev = digits[-1]
-        shadow[depth] = shadow[depth - 1] + term[lev][a - lev]
     return best, wits
 
 

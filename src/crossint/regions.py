@@ -268,7 +268,7 @@ def i0(alpha: float) -> int:
     """
     a = Fraction(alpha)
     if not 0 < 2 * a < 1:
-        raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
+        raise ValueError(f"need 0 < alpha < 1/2, got {float(a)}")
     inv_a, inv_abar = 1 / a, 1 / (1 - a)
     what = f"window condition of i0 at alpha = {float(a)}"
     last_fail, t = None, 1 - a

@@ -176,6 +176,25 @@ def test_check_integer_condition_without_nkl_names_the_integers(capsys, point):
     assert "condition 'c1' needs integer arguments n k l" in err
 
 
+@pytest.mark.parametrize(
+    "point", [["--alpha", "0.2", "--beta", "0.6"], ["20", "5", "11"]], ids=["point", "nkl"]
+)
+def test_check_names_an_unknown_condition(capsys, point):
+    code, out, err = run(capsys, "check", *point, "--conditions", "delta,foo")
+    assert (code, out) == (2, "")
+    assert (
+        "unknown condition 'foo'; choose from c1,c2,delta,delta-prime,claims" in err
+    )
+
+
+def test_check_claims_names_a_bad_alpha_as_a_double(capsys):
+    code, out, err = run(
+        capsys, "check", "--alpha", "0.6", "--beta", "0.3", "--conditions", "claims"
+    )
+    assert (code, out) == (2, "")
+    assert "need 0 < alpha < 1/2, got 0.6\n" in err
+
+
 def test_check_mixed_mode_rejected(capsys):
     code, out, err = run(
         capsys, "check", "20", "5", "11", "--alpha", "0.2", "--beta", "0.6",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from array import array
@@ -107,8 +108,9 @@ def test_sweep_table_stays_within_reachable_digits(monkeypatch):
 
 
 def test_sweep_memory_stays_linear_in_the_rows():
-    # k = 1: the table has n - k rows of k + 2 entries, so memory grows with
-    # the rows' binomials, not with (n - k)^2 / 2 padded slots
+    # k = 1: the sweep keeps one running shadow and n - k + 1 steps of 0 or 1,
+    # so memory is the n - 1 cascade digits, not a table of ~1000-digit
+    # binomials per level (about 19 MB here)
     import tracemalloc
 
     n, l = 8000, 4000
@@ -118,7 +120,7 @@ def test_sweep_memory_stays_linear_in_the_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
     # closed form: max over m <= l of m * C(n - m, l - m), where
     # C(n-m-1, l-m-1) = C(n-m, l-m) * (l-m) / (n-m)
     best, wits, b_size = -1, [], binom(n - 1, l - 1)
@@ -131,6 +133,40 @@ def test_sweep_memory_stays_linear_in_the_rows():
     assert res.value == best
     assert res.witnesses == [{"a_size": m, "b_size": b} for m, b in wits]
     assert [w["a_size"] for w in res.witnesses] == [1]
+
+
+def test_sweep_builds_its_steps_without_binomials(monkeypatch):
+    # the shadow steps come by exact ratios, so the sweep needs only C(n,l),
+    # C(n-k,l) and C(n,k), whatever n - k is
+    import crossint.oracle as oracle
+
+    calls = 0
+
+    def counting_binom(a, b):
+        nonlocal calls
+        calls += 1
+        return binom(a, b)
+
+    monkeypatch.setattr(oracle, "binom", counting_binom)
+    for n, k, l in [(24, 7, 13), (8000, 1, 4000)]:
+        calls = 0
+        oracle._sweep(n, k, l)
+        assert calls <= 3, (n, k, l, calls)
+
+
+def test_sweep_reports_are_pinned():
+    # digest captured from the sweep that kept a table of binomials indexed
+    # by digit position; the range covers the k + l > n short cut too
+    cases = [(n, k, l) for n in range(2, 17) for k in range(1, n) for l in range(1, n)]
+    cases += [(20, 5, 11), (24, 7, 13), (400, 1, 200), (8000, 1, 4000)]
+    digest = hashlib.sha256()
+    for n, k, l in cases:
+        report = max_product_cascade(n, k, l).to_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert len(cases) == 1244
+    assert digest.hexdigest() == (
+        "7be70d2395d65c9439d8e76d6032637093058a7b408c79c94feae73d72f03333"
+    )
 
 
 def test_enumeration_examples():
