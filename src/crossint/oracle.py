@@ -25,14 +25,20 @@ The objective collapses to mu_alpha(A) * (1 - mu_{1-beta}(A)), and both
 measures depend only on the layer profile of A, the number a_c of its
 members of size c.  Kruskal-Katona, applied to the complements (a
 down-set), says exactly which profiles up-sets have, so the maximum is
-one walk over those profiles (96 at n = 5, 553 at n = 6) carrying exact
-integer numerators over the fixed denominators q^n and s^n.  The
-witnesses are then listed profile by profile, depth first over subset
-masks in descending order, include first; a mask left out rules out its
-one-element subsets, and a branch ends once some layer has fewer live
-masks than its quota.  Each family is one int of 2^n bits, bit m set when
-mask m is a member; the first WITNESS_CAP in descending int order are
-reported, their minimal members found by whole-family shifts.
+one walk over those profiles carrying exact integer numerators over the
+fixed denominators q^n and s^n.  The walk tries each layer's count from
+the largest allowed down and skips a subtree once even its fullest
+completion, with the second measure left where it is, scores strictly
+below the best so far: about 120 of the 298 nodes of the whole walk at
+n = 5, 450 of 1,806 at n = 6.  The witnesses are then listed profile by
+profile, depth first over subset masks in descending order, include
+first; a mask left out rules out its one-element subsets, and a branch
+ends once some layer has fewer live masks than its quota.  Each family
+is one int of 2^n bits, bit m set when mask m is a member; the first
+WITNESS_CAP in descending int order are reported, their minimal members
+found by whole-family shifts.  The Kruskal-Katona table and the bit
+tables of the listing are built once per n and kept; nothing that
+depends on the biases is.
 
 k + l > n makes every pair of a k-set and an l-set intersect, so both
 oracles short-circuit to C(n,k) * C(n,l) there, refusing layers too
@@ -45,8 +51,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 from typing import Any, Union
@@ -261,22 +268,66 @@ def max_product_enumeration(n: int, k: int, l: int) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _tables(n: int) -> tuple:
+    """The Kruskal-Katona and bit tables of [n], built once per n.
+
+    top[c][y] is the largest a_c an up-set allows when a_{c+1} = y: the
+    most c-sets whose fewest (c+1)-sets lying over them (the minimum
+    (n-c-1)-shadow of their complements, module notes) number at most y.
+    Any (n-1)-sets need the full set over them, and a_n is 0 or 1.
+    top[c] never decreases in y.  down[m] holds the one-element subsets of
+    mask m as family bits, lacks[e] the masks without element e, and
+    members[m] the elements of m.  Nothing here depends on a bias, so
+    these are the only state kept between calls.
+    """
+    top = []
+    for c in range(n - 1):
+        # over[x - 1]: the fewest (c+1)-sets over x c-sets; it never decreases,
+        # so the number of x >= 1 with over[x - 1] <= y is the largest such x
+        over = [
+            shadow_lower_bound(x, n - c, n - c - 1) for x in range(1, binom(n, c) + 1)
+        ]
+        top.append(tuple(bisect_right(over, y) for y in range(binom(n, c + 1) + 1)))
+    top += [(0, n), (1,)]
+    # down[m]: the one-element subsets of m, as family bits; for b the lowest
+    # bit of m they are m - b and those of m - b with b added
+    down = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        b = mask & -mask
+        down[mask] = down[mask ^ b] << b | 1 << (mask ^ b)
+    every = (1 << (1 << n)) - 1
+    # lacks[e]: the masks without e as family bits, 2^e set then 2^e clear
+    lacks = tuple(every // ((1 << (1 << e)) + 1) for e in range(n))
+    members = tuple(elements_of(mask) for mask in range(1 << n))
+    return tuple(top), tuple(down), lacks, members
+
+
 def _optimal_profiles(
     n: int, weight_a: list[int], weight_b: list[int], total_b: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Max of num_a * (total_b - num_b) over the profiles of up-sets, with every argmax.
 
-    (a_0, ..., a_n) is the profile of some up-set on [n] exactly when, for
-    each c, the fewest (c+1)-sets lying over a_c c-sets is at most a_{c+1}
-    (module notes): the minimum (n-c-1)-shadow of a_c (n-c)-sets, and 1
-    for any (n-1)-sets.  One walk picks a_n, ..., a_0, carrying
-    num_a = sum a_c * weight_a[c] and num_b alike, so a leaf costs O(1).
+    (a_0, ..., a_n) is the profile of some up-set on [n] exactly when
+    a_c <= top[c][a_{c+1}] for each c (see `_tables`).  One walk picks
+    a_n, ..., a_0, each from its largest allowed value down, carrying
+    num_a = sum a_c * weight_a[c] and num_b alike.  reach[c][y], the most
+    layers c, ..., 0 can add to num_a under a_{c+1} = y, comes from the
+    fullest chain, since top never decreases; num_b can stay as it is, as
+    lower layers may be empty.  A subtree whose (num_a + reach) *
+    (total_b - num_b) is strictly below the best value so far is skipped,
+    so every tie is kept.  That bound holds when every weight is >= 0 and
+    total_b >= num_b at every leaf, as it does for the bias numerators of
+    `measure_oracle` (the full layers sum to s^n) and for the weights
+    C(N-n, k-c), C(N-n, l-n+c) over C(N, l) of lifting an up-set on [n]
+    to k-sets and l-sets of [N] (Vandermonde).  The optimal profiles come
+    out in ascending order of (a_n, ..., a_0).
     """
-    # over[c][x]: the fewest (c+1)-sets lying over x c-sets; a_n is 0 or 1
-    over = [
-        [0] + [shadow_lower_bound(x, n - c, n - c - 1) for x in range(1, binom(n, c) + 1)]
-        for c in range(n - 1)
-    ] + [[0] + [1] * n, [0, 0]]
+    top = _tables(n)[0]
+    reach, below = [], (0, 0)  # a_0 is 0 or 1, and no layer lies below it
+    for c, row in enumerate(top):
+        below = tuple(x * weight_a[c] + below[x] for x in row)
+        reach.append(below)
     profile = [0] * (n + 1)
     best, optimal = -1, []
 
@@ -289,13 +340,14 @@ def _optimal_profiles(
             elif value == best:
                 optimal.append(tuple(profile))
             return
-        for x, need in enumerate(over[c]):  # over[c] never decreases in x
-            if need > above:
-                break
+        if (num_a + reach[c][above]) * (total_b - num_b) < best:
+            return
+        for x in range(top[c][above], -1, -1):
             profile[c] = x
             walk(c - 1, x, num_a + x * weight_a[c], num_b + x * weight_b[c])
 
     walk(n, 0, 0, 0)
+    optimal.reverse()  # the walk met them in descending order
     return best, optimal
 
 
@@ -311,12 +363,7 @@ def _up_sets(n: int, profile: tuple[int, ...], limit: int) -> list[int]:
     live[c] below the quota has no completion, so it is cut.  No mask is
     left out once `limit` families are found.
     """
-    # down[m]: the one-element subsets of m, as family bits; for b the lowest
-    # bit of m they are m - b and those of m - b with b added
-    down = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        b = mask & -mask
-        down[mask] = down[mask ^ b] << b | 1 << (mask ^ b)
+    down = _tables(n)[1]
     need = list(profile)
     live = [binom(n, c) for c in range(n + 1)]
     found: list[int] = []
@@ -349,11 +396,11 @@ def _up_sets(n: int, profile: tuple[int, ...], limit: int) -> list[int]:
 def measure_oracle(n: int, alpha: Fraction, beta: Fraction) -> OracleResult:
     """Exact maximum of mu_alpha(A) * mu_beta(B) over cross-intersecting pairs.
 
-    Scores every layer profile an up-set can have (lossless; see module
-    notes), then lists the up-sets of the optimal profiles by a quota-cut
-    walk, keeping each family as one int and its measures as exact integer
-    numerators.  Witnesses are the antichains of minimal members of each
-    optimal pair.
+    Finds every optimal layer profile an up-set can have by a bounded
+    walk (lossless; see module notes), then lists the up-sets of those
+    profiles by a quota-cut walk, keeping each family as one int and its
+    measures as exact integer numerators.  Witnesses are the antichains of
+    minimal members of each optimal pair.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not (0 < alpha < 1 and 0 < beta < 1):
@@ -391,15 +438,19 @@ def _witness_pair(bits: int, n: int) -> dict:
     minimal unless it is in OR_e (F & lacks[e]) << 2^e.  B, the sets whose
     complement is not in A, is ~A reversed over 2^n bits: m -> full ^ m.
     """
+    _, _, lacks, members = _tables(n)
     every = (1 << (1 << n)) - 1
-    # lacks[e]: the masks without e as family bits, 2^e set then 2^e clear
-    lacks = [every // ((1 << (1 << e)) + 1) for e in range(n)]
 
     def minimal(fam: int) -> list[tuple[int, ...]]:
         low = fam
         for e, without in enumerate(lacks):
             low &= ~((fam & without) << (1 << e))
-        return [elements_of(m) for m, bit in enumerate(f"{low:b}"[::-1]) if bit == "1"]
+        out = []
+        while low:
+            bit = low & -low
+            out.append(members[bit.bit_length() - 1])
+            low ^= bit
+        return out
 
     b_bits = every ^ int(f"{bits:0{1 << n}b}"[::-1], 2)
     return {"a_min": minimal(bits), "b_min": minimal(b_bits)}

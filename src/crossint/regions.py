@@ -43,7 +43,7 @@ MAX_GRID = 10**5
 MAX_C2_N = 10**4
 
 
-def _logs_below(lhs, rhs, what: str) -> bool:
+def _logs_below(lhs, rhs, what: str, logs: dict | None = None) -> bool:
     """Decide sum(c log x for c, x in lhs) < the same sum over rhs, where
     each c >= 0 and x > 0 is an int or a Fraction.
 
@@ -53,7 +53,11 @@ def _logs_below(lhs, rhs, what: str) -> bool:
     a few terms the gap is off by under 10^(2-p) sum(c (|log x| + 1)); it
     decides once it exceeds ten times that.  An exact tie never does: past
     MAX_LOG_DIGITS digits this raises CapacityError naming `what`.
+    `logs` maps (digits, x) to log x at that precision; each distinct x
+    is taken once per round, and a caller deciding many tests over the
+    same x passes one dict to all of them.
     """
+    logs = {} if logs is None else logs
     digits = 30
     while digits <= MAX_LOG_DIGITS:
         with localcontext(Context(digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
@@ -61,7 +65,10 @@ def _logs_below(lhs, rhs, what: str) -> bool:
             for sign, terms in ((1, lhs), (-1, rhs)):
                 for c, x in terms:
                     coefficient = Decimal(c.numerator) / c.denominator
-                    log = (Decimal(x.numerator) / x.denominator).ln()
+                    log = logs.get((digits, x))
+                    if log is None:
+                        log = (Decimal(x.numerator) / x.denominator).ln()
+                        logs[digits, x] = log
                     gap += sign * coefficient * log
                     size += coefficient * (abs(log) + 1)
             if abs(gap) > size.scaleb(3 - digits):
@@ -106,7 +113,7 @@ def _envelope(alpha: float) -> tuple[int, int, int, int]:
     """
     p, q = alpha.as_integer_ratio()
     if not 0 < 2 * p < q:
-        raise ValueError(f"need 0 < alpha < 1/2, got {alpha}")
+        raise ValueError(f"need 0 < alpha < 1/2, got {float(alpha)}")
     num, scale = q - p, q
     first, first_num, first_den = 0, num, scale + num
     for j in itertools.count():
@@ -202,7 +209,7 @@ def delta_prime_boundary(alpha: float) -> float:
     is found by bisection and then capped by the linear condition.
     """
     if not 0 < alpha < 1:
-        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+        raise ValueError(f"need 0 < alpha < 1, got {float(alpha)}")
 
     def below(b: float) -> bool:
         la, lb = math.log(1.0 / alpha), math.log(1.0 / (1.0 - b))
@@ -264,17 +271,18 @@ def i0(alpha: float) -> int:
     < la - lb, and la - lb > 0 for a < 1/2.  For j >= 1, g strictly
     decreases to 0: t, L and j a^j all fall, since (j + 1) a < j.  So the
     walk ends at the first j >= 1 that passes.  Each test is decided by
-    `_logs_below`.
+    `_logs_below`, and the walk takes log(1/a) and log(1/(1-a)) once per
+    precision.
     """
     a = Fraction(alpha)
     if not 0 < 2 * a < 1:
         raise ValueError(f"need 0 < alpha < 1/2, got {float(a)}")
     inv_a, inv_abar = 1 / a, 1 / (1 - a)
     what = f"window condition of i0 at alpha = {float(a)}"
-    last_fail, t = None, 1 - a
+    last_fail, t, logs = None, 1 - a, {}
     for j in itertools.count():
         lhs = [((1 + t) * j, inv_a), (1 + t, inv_abar), (1 + t, 1 + t)]
-        if not _logs_below(lhs, [(j + 1, inv_a)], what):
+        if not _logs_below(lhs, [(j + 1, inv_a)], what, logs):
             last_fail = j + 2
         elif j >= 1:
             return 2 if last_fail is None else last_fail + 1

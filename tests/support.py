@@ -2,15 +2,16 @@
 
 Everything here recomputes quantities by definition-level enumeration:
 no cascade arithmetic, no shadow formulas, no closed forms.  Tests freeze
-expected values from these, then check the fast paths against them.  Two
+expected values from these, then check the fast paths against them.  The
 exceptions are searches the package used to run: reference_sweep takes
 the shadow bound of each size from that size's own cascade form,
-independently of the incremental bound kept by the production sweep, and
+independently of the incremental bound kept by the production sweep;
 reference_measure_search finds the measure optima by branch and bound
-over up-closed families, with no layer profiles, and reference_up_sets
-lists up-sets by profile without the dead-family cut.  window writes out, digit
-by digit, the size windows that the window conditions of regions are
-about.  The region references
+over up-closed families, with no layer profiles;
+reference_optimal_profiles walks every layer profile with no completion
+bound; and reference_up_sets lists up-sets by profile without the
+dead-family cut.  window writes out, digit by digit, the size windows
+that the window conditions of regions are about.  The region references
 at the end evaluate each side of a predicate's comparison at 50 digits
 instead of in doubles.
 """
@@ -268,6 +269,43 @@ def reference_measure_search(n, alpha, beta, leaves=None):
     return OracleResult(
         value, witnesses, "enumeration", {"n": n, "alpha": str(alpha), "beta": str(beta)}
     )
+
+
+def reference_optimal_profiles(n, weight_a, weight_b, total_b):
+    """Max of num_a * (total_b - num_b) over the profiles of up-sets, with every argmax.
+
+    The profile walk the measure oracle ran before its completion bound:
+    every profile Kruskal-Katona allows is visited, a_n first, each a_c
+    in ascending order, and the table over[c][x], the fewest (c+1)-sets
+    lying over x c-sets, is rebuilt on each call.
+    """
+    from crossint.cascade import shadow_lower_bound
+
+    # over[c][x]: the fewest (c+1)-sets lying over x c-sets; a_n is 0 or 1
+    over = [
+        [0] + [shadow_lower_bound(x, n - c, n - c - 1) for x in range(1, math.comb(n, c) + 1)]
+        for c in range(n - 1)
+    ] + [[0] + [1] * n, [0, 0]]
+    profile = [0] * (n + 1)
+    best, optimal = -1, []
+
+    def walk(c, above, num_a, num_b):
+        nonlocal best, optimal
+        if c < 0:
+            value = num_a * (total_b - num_b)
+            if value > best:
+                best, optimal = value, [tuple(profile)]
+            elif value == best:
+                optimal.append(tuple(profile))
+            return
+        for x, need in enumerate(over[c]):  # over[c] never decreases in x
+            if need > above:
+                break
+            profile[c] = x
+            walk(c - 1, x, num_a + x * weight_a[c], num_b + x * weight_b[c])
+
+    walk(n, 0, 0, 0)
+    return best, optimal
 
 
 def reference_up_sets(n, profile, limit):

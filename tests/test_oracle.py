@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from array import array
 from fractions import Fraction
@@ -30,6 +31,7 @@ from support import (
     brute_measure_product,
     reference_measure_optima,
     reference_measure_search,
+    reference_optimal_profiles,
     reference_sweep,
     reference_up_sets,
     reference_witness_pair,
@@ -304,6 +306,29 @@ def test_measure_oracle_matches_definition():
             )
 
 
+def test_measure_reports_are_pinned():
+    # digest captured from the oracle that walked every layer profile and
+    # built its Kruskal-Katona table on each call: the seeded n = 5 points
+    # of the benchmark's measure workload (seed 1), then the 1/10 grid
+    # for every n <= 6
+    rng = random.Random(1)
+    cases = [
+        (5, Fraction(4 * i + rng.randint(1, 3), 80), Fraction(5 * j + rng.randint(1, 4), 60))
+        for i in range(10)
+        for j in range(12)
+    ]
+    grid = [Fraction(i, 10) for i in range(1, 10)]
+    cases += [(n, alpha, beta) for n in range(1, 7) for alpha in grid for beta in grid]
+    digest = hashlib.sha256()
+    for n, alpha, beta in cases:
+        report = measure_oracle(n, alpha, beta).to_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert len(cases) == 606
+    assert digest.hexdigest() == (
+        "527bd0d40a042e3d3f9b4eb6792078ed762d5d9f8d7d0cc7d5edc6e1651b6768"
+    )
+
+
 MEASURE_GRID = [
     Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
     Fraction(3, 5), Fraction(11, 20), Fraction(3, 4),
@@ -338,6 +363,63 @@ def test_measure_oracle_matches_the_branch_and_bound_at_n5():
         for beta in grid:
             want = reference_measure_search(5, alpha, beta).to_dict()
             assert measure_oracle(5, alpha, beta).to_dict() == want, (alpha, beta)
+
+
+def _bias_weights(n, alpha, beta):
+    # the numerators measure_oracle scores: mu_alpha and mu_{1-beta} of one
+    # c-set, over the denominator s^n of the second factor
+    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    weight_a = [p**c * (q - p) ** (n - c) for c in range(n + 1)]
+    weight_b = [(s - r) ** c * r ** (n - c) for c in range(n + 1)]
+    return weight_a, weight_b, s**n
+
+
+@pytest.mark.parametrize("n, cells", [(n, 20) for n in range(1, 7)] + [(7, 10)])
+def test_profile_walk_matches_the_unbounded_walk_on_bias_weights(n, cells):
+    # the completion bound skips only subtrees that cannot reach the best
+    # value, so the same profiles come out, in the same order
+    grid = [Fraction(i, cells) for i in range(1, cells)]
+    for alpha in grid:
+        for beta in grid:
+            args = (n, *_bias_weights(n, alpha, beta))
+            assert _optimal_profiles(*args) == reference_optimal_profiles(*args)
+
+
+def test_profile_walk_matches_the_unbounded_walk_on_lift_weights():
+    # the lift of an up-set on [n0] to the k-sets and l-sets of [N] has
+    # sum a_c C(N-n0, k-c) members and leaves C(N,l) - sum a_c C(N-n0, l-n0+c)
+    # to its partner; by Vandermonde that never falls below 0
+    count = 0
+    for N in range(2, 21):
+        for l in range(N // 2 + 1, N):
+            for k in range(1, N - l):
+                for n0 in range(1, min(6, N) + 1):
+                    weight_a = [binom(N - n0, k - c) for c in range(n0 + 1)]
+                    weight_b = [binom(N - n0, l - n0 + c) for c in range(n0 + 1)]
+                    args = (n0, weight_a, weight_b, binom(N, l))
+                    assert _optimal_profiles(*args) == reference_optimal_profiles(*args)
+                    count += 1
+    assert count == 1439
+
+
+def test_measure_reports_share_nothing_across_calls():
+    # the per-n tables are the only state kept between calls: a report
+    # changed in place leaves the next report at that point as it was
+    import crossint.oracle as oracle
+
+    oracle._tables.cache_clear()
+    alpha, beta = Fraction(1, 4), Fraction(11, 20)
+    want = json.dumps(measure_oracle(4, alpha, beta).to_dict(), sort_keys=True)
+    pairs = measure_oracle(4, alpha, beta).witnesses["pairs"]
+    assert len(pairs) > 1
+    for pair in pairs:
+        pair["a_min"].append((1, 2, 3, 4))
+        pair["b_min"].clear()
+    pairs.reverse()
+    assert json.dumps(measure_oracle(4, alpha, beta).to_dict(), sort_keys=True) == want
+    for n in (3, 5, 3, 5):
+        measure_oracle(n, alpha, beta)
+    assert oracle._tables.cache_info().currsize == 3
 
 
 def _all_profiles(n):
@@ -383,10 +465,7 @@ def test_up_sets_match_the_uncut_listing_at_n6(alpha, beta):
     # each point has fewer than WITNESS_CAP optima, so a larger limit would
     # repeat the uncut walk (about 1 s at (11/24, 13/24)) for the same list
     n = 6
-    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
-    weight_a = [p**c * (q - p) ** (n - c) for c in range(n + 1)]
-    weight_b = [(s - r) ** c * r ** (n - c) for c in range(n + 1)]
-    _, optimal = _optimal_profiles(n, weight_a, weight_b, s**n)
+    _, optimal = _optimal_profiles(n, *_bias_weights(n, alpha, beta))
     for profile in optimal:
         for limit in (1, WITNESS_CAP + 1):
             assert _up_sets(n, profile, limit) == reference_up_sets(n, profile, limit)

@@ -189,6 +189,21 @@ def test_delta_boundary_values():
     assert delta_boundary(0.45) < min(e_j(0.45, 0), e_j(0.45, 1))
 
 
+def test_delta_boundary_range_error_prints_alpha_as_a_double():
+    # a Fraction prints as the double it denotes, as in i0 and every check
+    with pytest.raises(ValueError, match=r"need 0 < alpha < 1/2, got 0\.6$"):
+        delta_boundary(Fraction(3, 5))
+    with pytest.raises(ValueError, match=r"need 0 < alpha < 1/2, got 0\.5$"):
+        delta_boundary(0.5)
+
+
+def test_delta_prime_boundary_range_error_prints_alpha_as_a_double():
+    with pytest.raises(ValueError, match=r"need 0 < alpha < 1, got 1\.5$"):
+        delta_prime_boundary(Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"need 0 < alpha < 1, got 0\.0$"):
+        delta_prime_boundary(0.0)
+
+
 def test_condition_c1_c2_values():
     assert condition_c1(20, 5, 11)
     assert condition_c2(20, 5, 11)
@@ -274,9 +289,9 @@ def _counting_logs_below(monkeypatch):
     calls = []
     original = regions._logs_below
 
-    def counted(lhs, rhs, what):
+    def counted(lhs, rhs, what, *logs):
         calls.append(rhs[0][0] - 1)
-        return original(lhs, rhs, what)
+        return original(lhs, rhs, what, *logs)
 
     monkeypatch.setattr(regions, "_logs_below", counted)
     return calls
@@ -588,6 +603,32 @@ def test_logs_below_raises_past_its_precision_cap_on_an_exact_tie():
     assert not regions._logs_below(near, [(100, 2)], "near tie")
     with decimal.localcontext(decimal.Context(prec=50)):
         assert decimal.Decimal(2**100 + 1).ln() - 100 * decimal.Decimal(2).ln() < 1e-29
+
+
+def test_logs_below_takes_each_logarithm_once_per_precision():
+    # a logarithm already in `logs` is read, not taken again: a wrong one
+    # stored there flips the verdict
+    assert not regions._logs_below([(1, 2)], [], "log 2 < 0")
+    assert regions._logs_below([(1, 2)], [], "log 2 < 0", {(30, 2): decimal.Decimal(-1)})
+    # log x + log 2 < 3 log x, decided at 30 digits with x taken once
+    x, logs = Fraction(7, 3), {}
+    assert regions._logs_below([(1, x), (1, 2)], [(3, x)], "log 2 < 2 log 7/3", logs)
+    assert set(logs) == {(30, x), (30, 2)}
+
+
+def test_i0_takes_its_fixed_logarithms_once_over_its_walk(monkeypatch):
+    tables = []
+    original = regions._logs_below
+
+    def recorded(lhs, rhs, what, logs):
+        tables.append(logs)
+        return original(lhs, rhs, what, logs)
+
+    monkeypatch.setattr(regions, "_logs_below", recorded)
+    alpha = Fraction(0.45)
+    i0(alpha)
+    assert len(tables) > 2 and all(logs is tables[0] for logs in tables)
+    assert {(30, 1 / alpha), (30, 1 / (1 - alpha))} <= set(tables[0])
 
 
 def test_window_bound_decides_next_to_its_boundary_at_small_beta():
