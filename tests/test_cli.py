@@ -2,6 +2,7 @@ import ast
 import decimal
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -944,3 +945,135 @@ def test_reports_carry_no_wall_time(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "elapsed" not in out
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    # building the parser is most of a call's time, and one serves every call
+    from crossint import cli
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+
+def _digest(capsys, argvs):
+    """sha256 over (argv, exit code, stdout, stderr) of each invocation in turn."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+def _family_make_argvs():
+    for n in range(1, 9):
+        for k in range(n + 2):
+            nk = ["--n", str(n), "--k", str(k)]
+            spans = {
+                "star": ("--center", range(n + 2)),
+                "afam": ("--j", range(-1, n + 1)),
+                "bfam": ("--j", range(-1, n + 1)),
+                "colex": ("--size", range(-1, binom(n, k) + 2)),
+            }
+            for kind, (option, span) in spans.items():
+                yield ["family", "make", kind, *nk]
+                for value in span:
+                    yield ["family", "make", kind, *nk, option, str(value)]
+    for kind, own in KIND_OPTIONS.items():
+        for option in (["--center", "3"], ["--j", "1"], ["--size", "3"]):
+            if option[0] != own[0]:
+                yield ["family", "make", kind, "--n", "5", "--k", "2", *option]
+
+
+def test_family_make_outputs_are_pinned(capsys, one_parser):
+    # every kind at n <= 8 and k <= n + 1, bare and with each value of its
+    # option from one below its range to one above; member order included
+    count, digest = _digest(capsys, _family_make_argvs())
+    assert count == 2022
+    assert digest == "686d079cca8142ccb6263ef1c0c068c58780376ea0ef0c0253f80d1b5ab3899e"
+
+
+CHECK_CONDITIONS = ("c1", "c2", "delta", "delta-prime", "claims")
+# the points of the `check` argv of the cli benchmark workload, seeds 1 to 10
+WORKLOAD_POINTS = """
+    0.0818 0.839 0.3713 0.2649 0.2479 0.4515 0.4598 0.5197 0.046 0.1015
+    0.4043 0.7265 0.1902 0.5998 0.1295 0.6953 0.3078 0.0829 0.2022 0.1688
+    0.1286 0.5452 0.0506 0.4055 0.3858 0.9248 0.3065 0.6313 0.3604 0.9054
+    0.3849 0.5799 0.0202 0.6563 0.2431 0.2712 0.3194 0.0895 0.169 0.5554
+    0.2665 0.3711 0.0592 0.2575 0.1243 0.8427 0.0781 0.6966 0.023 0.5027
+    0.0837 0.8519 0.233 0.5985 0.2828 0.5903 0.3941 0.8106 0.2859 0.2179
+""".split()
+# every usage error the tests above name
+CHECK_USAGE_ERRORS = [
+    ["check", "--conditions", "c1"],
+    ["check", "--beta", "0.6", "--conditions", "c1"],
+    ["check", "--alpha", "0.2", "--beta", "0.6", "--conditions", "delta,foo"],
+    ["check", "20", "5", "11", "--conditions", "delta,foo"],
+    ["check", "--alpha", "0.6", "--beta", "0.3", "--conditions", "claims"],
+    ["check", "20", "5", "11", "--alpha", "0.2", "--beta", "0.6", "--conditions", "c1"],
+    ["check", "20", "5", "11", "--conditions", "delta"],
+    ["check", "20", "5", "11", "--conditions", "c1,c2", "--output", "csv"],
+    *(
+        ["check", *nkl, *point, "--conditions", "c1"]
+        for nkl in (["5"], ["5", "2"], ["20", "5", "11", "3"])
+        for point in ([], ["--alpha", "0.2"])
+    ),
+    *(
+        ["check", *mode, "--conditions", conditions]
+        for conditions in ("", ",", " , ")
+        for mode in (["--alpha", "0.25", "--beta", "0.55"], ["20", "5", "11"])
+    ),
+    *(
+        ["check", *point, "--conditions", "delta"]
+        for point in (
+            ["--alpha", "nan", "--beta", "0.55"],
+            ["--alpha", "0.25", "--beta", "inf"],
+            ["--alpha=-inf", "--beta", "0.55"],
+            ["--alpha", "0.25", "--beta", "NaN"],
+            ["--alpha", "x", "--beta", "0.55"],
+        )
+    ),
+    *(
+        ["check", "--alpha", alpha, "--beta", beta, "--conditions", conditions]
+        for conditions in ("delta", "delta-prime", "claims")
+        for alpha, beta in (
+            ("-1", "0.5"), ("0", "0.6"), ("1", "0.5"),
+            ("0.25", "0"), ("0.25", "1"), ("0.3", "1.5"),
+        )
+    ),
+    *(
+        ["check", "--alpha", text, "--beta", "0.6", "--conditions", "delta"]
+        for text in ("1e-400", "0.99999999999999999999", "1/0", "3/2", "1e999999999")
+    ),
+    ["check", "1", "1", "1", "--conditions", "c1"],
+    ["check", "1", "1", "1", "--conditions", "c2"],
+    *(LEAF_COMMANDS["check"] + [option, *SHARED_OPTIONS[option]] for option in SHARED_OPTIONS),
+]
+
+
+def _check_argvs():
+    orders = [
+        ",".join(order)
+        for r in range(1, len(CHECK_CONDITIONS) + 1)
+        for order in itertools.permutations(CHECK_CONDITIONS, r)
+    ]
+    for mode in (["20", "5", "11"], ["10000", "5", "11"], ["--alpha", "0.25", "--beta", "0.55"]):
+        for conditions in orders:
+            yield ["check", *mode, "--conditions", conditions]
+    # triples that c2 or c1 refuse, with every single condition and ordered pair
+    for nkl in (["20000", "5", "11"], ["5", "9", "2"]):
+        for conditions in orders[:25]:
+            yield ["check", *nkl, "--conditions", conditions]
+    for alpha, beta in zip(WORKLOAD_POINTS[::2], WORKLOAD_POINTS[1::2]):
+        yield ["check", "--alpha", alpha, "--beta", beta, "--conditions", "delta,delta-prime,claims"]
+    yield from CHECK_USAGE_ERRORS
+
+
+def test_check_outputs_are_pinned(capsys, one_parser):
+    # every ordered choice of conditions in both modes, the benchmark's
+    # points and every named usage error
+    count, digest = _digest(capsys, _check_argvs())
+    assert count == 1111
+    assert digest == "2c87d1738e1508fa576d84d050a860dd6194761cbac84c777cfbe4c913c11e85"
