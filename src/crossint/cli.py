@@ -5,6 +5,8 @@ Subcommands expose the oracles (mnkl, measure, scan), the region calculus
 diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 1 a requested condition fails or methods disagree, 2 usage error,
 3 capacity (or a comparison of logarithms past regions.MAX_LOG_DIGITS).
+`check` checks its usage in full before it decides any condition, so a
+usage error wins over capacity whatever the order of the names.
 
 Each command takes only the options it reads; caps, tolerances and
 budgets are module constants, not options.  Reports are JSON with a
@@ -154,64 +156,58 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _point_conditions(alpha: Fraction, beta: Fraction, wanted: list[str]) -> dict:
+def _claims(alpha: Fraction, beta: Fraction) -> dict:
+    """The window conditions of the paper's claims at one point."""
     from . import regions
-    out = {}
-    for name in wanted:
-        if name == "delta":
-            out["delta"] = regions.in_delta(alpha, beta)
-        elif name == "delta-prime":
-            out["delta-prime"] = regions.in_delta_prime(alpha, beta)
-        else:
-            i_first = regions.i0(alpha)
-            checks = {
-                "A(2,1)": regions.product_bound_condition(alpha, beta, 2, 1, "A"),
-                "A(3,1)": regions.product_bound_condition(alpha, beta, 3, 1, "A"),
-                "B(2,2)": regions.product_bound_condition(alpha, beta, 2, 2, "B"),
-                f"C(i0={i_first})": regions.product_bound_condition(
-                    alpha, beta, i_first, None, "C"
-                ),
-            }
-            if alpha > 0.23:
-                checks["B(3,1)"] = regions.product_bound_condition(
-                    alpha, beta, 3, 1, "B"
-                )
-            out["claims"] = {"holds": all(checks.values()), "detail": checks}
-    return out
+    i_first = regions.i0(alpha)
+    windows = {
+        "A(2,1)": (2, 1, "A"),
+        "A(3,1)": (3, 1, "A"),
+        "B(2,2)": (2, 2, "B"),
+        f"C(i0={i_first})": (i_first, None, "C"),
+    }
+    if alpha > 0.23:
+        windows["B(3,1)"] = (3, 1, "B")
+    detail = {
+        name: regions.product_bound_condition(alpha, beta, *window)
+        for name, window in windows.items()
+    }
+    return {"holds": all(detail.values()), "detail": detail}
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import regions
-    known = ("c1", "c2", "delta", "delta-prime", "claims")
+    # each condition: the arguments it reads, and its decider
+    nkl, point = "integer arguments n k l", "--alpha/--beta"
+    conditions = {
+        "c1": (nkl, regions.condition_c1),
+        "c2": (nkl, regions.condition_c2),
+        "delta": (point, regions.in_delta),
+        "delta-prime": (point, regions.in_delta_prime),
+        "claims": (point, _claims),
+    }
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
-    unknown = [name for name in wanted if name not in known]
+    unknown = [name for name in wanted if name not in conditions]
     if unknown or not wanted:
         what = f"unknown condition {unknown[0]!r}" if unknown else "no condition given"
-        raise ValueError(f"{what}; choose from {','.join(known)}")
-    integer_mode = bool(args.nkl)
-    body: dict = {"conditions": {}}
-    if integer_mode:
-        if args.alpha is not None or args.beta is not None:
-            raise ValueError("give either N K L or --alpha/--beta, not both")
-        if len(args.nkl) != 3:
-            raise ValueError(f"need exactly three integers N K L, got {len(args.nkl)}")
-        n, k, l = args.nkl
-        body.update(n=n, k=k, l=l)
-        for name in wanted:
-            if name == "c1":
-                body["conditions"]["c1"] = regions.condition_c1(n, k, l)
-            elif name == "c2":
-                body["conditions"]["c2"] = regions.condition_c2(n, k, l)
-            else:
-                raise ValueError(f"condition {name!r} needs --alpha/--beta")
+        raise ValueError(f"{what}; choose from {','.join(conditions)}")
+    if args.nkl and (args.alpha is not None or args.beta is not None):
+        raise ValueError("give either N K L or --alpha/--beta, not both")
+    if args.nkl and len(args.nkl) != 3:
+        raise ValueError(f"need exactly three integers N K L, got {len(args.nkl)}")
+    mode = nkl if args.nkl else point
+    for name in wanted:
+        if conditions[name][0] != mode:
+            raise ValueError(f"condition {name!r} needs {conditions[name][0]}")
+    if mode == point and (args.alpha is None or args.beta is None):
+        raise ValueError("point conditions need both --alpha and --beta")
+    if args.nkl:
+        body: dict = dict(zip("nkl", args.nkl))
     else:
-        for name in wanted:
-            if name in ("c1", "c2"):
-                raise ValueError(f"condition {name!r} needs integer arguments n k l")
-        if args.alpha is None or args.beta is None:
-            raise ValueError("point conditions need both --alpha and --beta")
-        body.update(alpha=float(args.alpha), beta=float(args.beta))
-        body["conditions"] = _point_conditions(args.alpha, args.beta, wanted)
+        body = {"alpha": float(args.alpha), "beta": float(args.beta)}
+    # usage is checked in full above; only now is any condition decided
+    inputs = args.nkl or (args.alpha, args.beta)
+    body["conditions"] = {name: conditions[name][1](*inputs) for name in wanted}
     body["all_hold"] = all(
         value["holds"] if isinstance(value, dict) else value
         for value in body["conditions"].values()
@@ -267,25 +263,18 @@ def _cmd_family(args: argparse.Namespace) -> int:
     from . import families
     if args.family_command == "make":
         # each kind reads one of --center, --j and --size, which the parser
-        # leaves None when absent
-        reads, default = {
-            "star": ("center", 1),
-            "afam": ("j", 0),
-            "bfam": ("j", 0),
-            "colex": ("size", 1),
+        # leaves None when absent: that option, its default and the builder
+        reads, default, build = {
+            "star": ("center", 1, families.star_uniform),
+            "afam": ("j", 0, families.a_family_uniform),
+            "bfam": ("j", 0, families.b_family_uniform),
+            "colex": ("size", 1, lambda n, k, m: families.colex_segment(m, k, n)),
         }[args.kind]
         for name in ("center", "j", "size"):
             if name != reads and getattr(args, name) is not None:
                 raise ValueError(f"family make {args.kind} takes no --{name}")
-        value = default if getattr(args, reads) is None else getattr(args, reads)
-        if args.kind == "star":
-            fam = families.star_uniform(args.n, args.k, value)
-        elif args.kind == "afam":
-            fam = families.a_family_uniform(args.n, args.k, value)
-        elif args.kind == "bfam":
-            fam = families.b_family_uniform(args.n, args.k, value)
-        else:
-            fam = families.colex_segment(value, args.k, args.n)
+        value = getattr(args, reads)
+        fam = build(args.n, args.k, default if value is None else value)
         sys.stdout.write(families.to_text(fam))
         return EXIT_OK
     if args.family_command == "info":

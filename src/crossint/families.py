@@ -90,14 +90,17 @@ class UniformFamily(_Frozen):
 
 
 def colex_masks(n: int, u: int) -> Iterator[int]:
-    """All u-subsets of [n] as bitmasks in colexicographic order."""
+    """All u-subsets of [n] as bitmasks in colexicographic order, which is
+    ascending mask order: from [u], Gosper's step gives the next u-bit mask."""
     if u == 0:
         yield 0
         return
-    for b in range(u, n + 1):
-        bit = 1 << (b - 1)
-        for rest in colex_masks(b - 1, u - 1):
-            yield rest | bit
+    mask = (1 << u) - 1
+    while mask >> n == 0:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((ripple ^ mask) >> 2) // low
 
 
 def colex_segment(m: int, u: int, n: int) -> UniformFamily:
@@ -134,12 +137,6 @@ def star_uniform(n: int, k: int, center: int) -> UniformFamily:
     return UniformFamily(n, k, tuple(members))
 
 
-def _prefix_block(n: int, j: int) -> tuple[int, int]:
-    """Masks of [j+2] and of [j+2] \\ {1}."""
-    prefix = (1 << (j + 2)) - 1
-    return prefix, prefix & ~1
-
-
 def a_family_uniform(n: int, k: int, j: int) -> UniformFamily:
     """Star at 1 plus all k-sets meeting [j+2] in exactly [j+2] \\ {1}."""
     if j < 0 or j + 2 > n:
@@ -148,7 +145,7 @@ def a_family_uniform(n: int, k: int, j: int) -> UniformFamily:
         raise ValueError(f"need k >= j+1, got k={k}, j={j}")
     _check_ground(n)
     _check_members(binom(n - 1, k - 1) + binom(n - j - 2, k - j - 1))
-    prefix, block = _prefix_block(n, j)
+    block = (1 << (j + 2)) - 2  # [j+2] \ {1}
     star = star_uniform(n, k, 1)
     extra = [
         block | mask_of(combo, n)
@@ -161,7 +158,7 @@ def b_family_uniform(n: int, l: int, j: int) -> UniformFamily:
     """Star at 1 minus all l-sets meeting [j+2] in {1} alone."""
     if j < 0 or j + 2 > n:
         raise ValueError(f"need 0 <= j <= n-2, got j={j}, n={n}")
-    prefix, _ = _prefix_block(n, j)
+    prefix = (1 << (j + 2)) - 1
     members = [m for m in star_uniform(n, l, 1).members if m & prefix != 1]
     return UniformFamily(n, l, tuple(members))
 

@@ -1076,4 +1076,20 @@ def test_check_outputs_are_pinned(capsys, one_parser):
     # points and every named usage error
     count, digest = _digest(capsys, _check_argvs())
     assert count == 1111
-    assert digest == "2c87d1738e1508fa576d84d050a860dd6194761cbac84c777cfbe4c913c11e85"
+    assert digest == "94a99643b630fd866477c9c92cee2ac2ed1499e067ffe2d3cc9bed06f8c06786"
+
+
+@pytest.mark.parametrize(
+    "nkl, conditions",
+    [
+        (["20000", "5", "11"], "c2,delta"),  # past the C2 cap
+        (["20000", "5", "11"], "delta,c2"),
+        (["5", "9", "2"], "c1,delta"),  # k > n
+        (["5", "9", "2"], "delta,c1"),
+    ],
+)
+def test_check_refuses_a_point_condition_before_deciding_any(capsys, nkl, conditions):
+    # usage is checked in full first, so the order of the names does not
+    # change which error wins
+    code, out, err = run(capsys, "check", *nkl, "--conditions", conditions)
+    assert (code, out, err) == (2, "", "error: condition 'delta' needs --alpha/--beta\n")
