@@ -996,7 +996,8 @@ def test_family_make_outputs_are_pinned(capsys, one_parser):
 
 
 CHECK_CONDITIONS = ("c1", "c2", "delta", "delta-prime", "claims")
-# the points of the `check` argv of the cli benchmark workload, seeds 1 to 10
+# alpha, beta of the point-mode `check` argv of the cli benchmark workload,
+# seeds 1 to 10
 WORKLOAD_POINTS = """
     0.0818 0.839 0.3713 0.2649 0.2479 0.4515 0.4598 0.5197 0.046 0.1015
     0.4043 0.7265 0.1902 0.5998 0.1295 0.6953 0.3078 0.0829 0.2022 0.1688
@@ -1049,7 +1050,10 @@ CHECK_USAGE_ERRORS = [
     ),
     ["check", "1", "1", "1", "--conditions", "c1"],
     ["check", "1", "1", "1", "--conditions", "c2"],
-    *(LEAF_COMMANDS["check"] + [option, *SHARED_OPTIONS[option]] for option in SHARED_OPTIONS),
+    *(
+        LEAF_COMMANDS["check"] + [option, *SHARED_OPTIONS[option]]
+        for option in SHARED_OPTIONS
+    ),
 ]
 
 
@@ -1059,7 +1063,8 @@ def _check_argvs():
         for r in range(1, len(CHECK_CONDITIONS) + 1)
         for order in itertools.permutations(CHECK_CONDITIONS, r)
     ]
-    for mode in (["20", "5", "11"], ["10000", "5", "11"], ["--alpha", "0.25", "--beta", "0.55"]):
+    point = ["--alpha", "0.25", "--beta", "0.55"]
+    for mode in (["20", "5", "11"], ["10000", "5", "11"], point):
         for conditions in orders:
             yield ["check", *mode, "--conditions", conditions]
     # triples that c2 or c1 refuse, with every single condition and ordered pair
@@ -1067,7 +1072,8 @@ def _check_argvs():
         for conditions in orders[:25]:
             yield ["check", *nkl, "--conditions", conditions]
     for alpha, beta in zip(WORKLOAD_POINTS[::2], WORKLOAD_POINTS[1::2]):
-        yield ["check", "--alpha", alpha, "--beta", beta, "--conditions", "delta,delta-prime,claims"]
+        conditions = "delta,delta-prime,claims"
+        yield ["check", "--alpha", alpha, "--beta", beta, "--conditions", conditions]
     yield from CHECK_USAGE_ERRORS
 
 
@@ -1092,4 +1098,5 @@ def test_check_refuses_a_point_condition_before_deciding_any(capsys, nkl, condit
     # usage is checked in full first, so the order of the names does not
     # change which error wins
     code, out, err = run(capsys, "check", *nkl, "--conditions", conditions)
-    assert (code, out, err) == (2, "", "error: condition 'delta' needs --alpha/--beta\n")
+    assert (code, out) == (2, "")
+    assert err == "error: condition 'delta' needs --alpha/--beta\n"
