@@ -6,7 +6,8 @@ diagnostics to stderr.  Exit codes: 0 success / all conditions hold,
 1 a requested condition fails or methods disagree, 2 usage error,
 3 capacity (or a comparison of logarithms past regions.MAX_LOG_DIGITS).
 `check` checks its usage in full before it decides any condition, so a
-usage error wins over capacity whatever the order of the names.
+usage error wins over capacity and the order of the names does not
+change the exit code.
 
 Each command takes only the options it reads; caps, tolerances and
 budgets are module constants, not options.  Reports are JSON with a
@@ -177,14 +178,13 @@ def _claims(alpha: Fraction, beta: Fraction) -> dict:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import regions
-    # each condition: the arguments it reads, and its decider
-    nkl, point = "integer arguments n k l", "--alpha/--beta"
+    # each condition: whether it reads a point (else N K L), and its decider
     conditions = {
-        "c1": (nkl, regions.condition_c1),
-        "c2": (nkl, regions.condition_c2),
-        "delta": (point, regions.in_delta),
-        "delta-prime": (point, regions.in_delta_prime),
-        "claims": (point, _claims),
+        "c1": (False, regions.condition_c1),
+        "c2": (False, regions.condition_c2),
+        "delta": (True, regions.in_delta),
+        "delta-prime": (True, regions.in_delta_prime),
+        "claims": (True, _claims),
     }
     wanted = [tok.strip() for tok in args.conditions.split(",") if tok.strip()]
     unknown = [name for name in wanted if name not in conditions]
@@ -195,11 +195,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("give either N K L or --alpha/--beta, not both")
     if args.nkl and len(args.nkl) != 3:
         raise ValueError(f"need exactly three integers N K L, got {len(args.nkl)}")
-    mode = nkl if args.nkl else point
     for name in wanted:
-        if conditions[name][0] != mode:
-            raise ValueError(f"condition {name!r} needs {conditions[name][0]}")
-    if mode == point and (args.alpha is None or args.beta is None):
+        if conditions[name][0] == bool(args.nkl):
+            needs = "--alpha/--beta" if args.nkl else "integer arguments n k l"
+            raise ValueError(f"condition {name!r} needs {needs}")
+    if not args.nkl and (args.alpha is None or args.beta is None):
         raise ValueError("point conditions need both --alpha and --beta")
     if args.nkl:
         body: dict = dict(zip("nkl", args.nkl))

@@ -90,17 +90,14 @@ class UniformFamily(_Frozen):
 
 
 def colex_masks(n: int, u: int) -> Iterator[int]:
-    """All u-subsets of [n] as bitmasks in colexicographic order, which is
-    ascending mask order: from [u], Gosper's step gives the next u-bit mask."""
+    """All u-subsets of [n] as bitmasks in colexicographic order."""
     if u == 0:
         yield 0
         return
-    mask = (1 << u) - 1
-    while mask >> n == 0:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((ripple ^ mask) >> 2) // low
+    for b in range(u, n + 1):
+        bit = 1 << (b - 1)
+        for rest in colex_masks(b - 1, u - 1):
+            yield rest | bit
 
 
 def colex_segment(m: int, u: int, n: int) -> UniformFamily:
