@@ -113,9 +113,9 @@ def cascade_decompose(m: int, u: int) -> CascadeForm:
 class TruncatedCascade(_Frozen):
     """Cascade form with its tail collapsed into one real-argument term.
 
-    ``pairs`` holds the kept integer digits (levels u down to u-s, possibly
-    none), and x satisfies C(x, x_level) = dropped tail sum, with
-    a_{u-s-1} <= x < a_{u-s} whenever digits were actually dropped.
+    ``pairs`` holds the kept integer digits (levels u down to x_level + 1,
+    possibly none), and x satisfies C(x, x_level) = dropped tail sum, with
+    a_{x_level} <= x < a_{x_level + 1} whenever digits were actually dropped.
     """
 
     __slots__ = ("u", "pairs", "x")
@@ -126,11 +126,6 @@ class TruncatedCascade(_Frozen):
     @property
     def x_level(self) -> int:
         return self.u - len(self.pairs)
-
-    @property
-    def s(self) -> int:
-        """Index of the last kept level; -1 for the pure fractional form."""
-        return len(self.pairs) - 1
 
     @property
     def value(self) -> float:

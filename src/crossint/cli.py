@@ -261,6 +261,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     from . import families
+
+    def read(path: str) -> families.UniformFamily:
+        with open(path, encoding="ascii") as handle:
+            return families.from_text(handle.read())
+
     if args.family_command == "make":
         # each kind reads one of --center, --j and --size, which the parser
         # leaves None when absent: that option, its default and the builder
@@ -278,25 +283,18 @@ def _cmd_family(args: argparse.Namespace) -> int:
         sys.stdout.write(families.to_text(fam))
         return EXIT_OK
     if args.family_command == "info":
-        with open(args.path, encoding="ascii") as handle:
-            fam = families.from_text(handle.read())
+        fam = read(args.path)
         _emit_json(_report("family-info", {"n": fam.n, "k": fam.k, "size": len(fam)}))
         return EXIT_OK
-    with open(args.path_a, encoding="ascii") as handle:
-        fam_a = families.from_text(handle.read())
-    with open(args.path_b, encoding="ascii") as handle:
-        fam_b = families.from_text(handle.read())
+    fam_a, fam_b = read(args.path_a), read(args.path_b)
     crossing = families.is_cross_intersecting(fam_a, fam_b)
-    report = _report(
-        "family-cross",
-        {
-            "cross_intersecting": crossing,
-            "size_a": len(fam_a),
-            "size_b": len(fam_b),
-            "product": str(len(fam_a) * len(fam_b)),
-        },
-    )
-    _emit_json(report)
+    body = {
+        "cross_intersecting": crossing,
+        "size_a": len(fam_a),
+        "size_b": len(fam_b),
+        "product": str(len(fam_a) * len(fam_b)),
+    }
+    _emit_json(_report("family-cross", body))
     return EXIT_OK if crossing else EXIT_CONDITION_FAILED
 
 

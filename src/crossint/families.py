@@ -1,9 +1,9 @@
 """Explicit uniform families on [n]: constructors, serialization, and the
 closed-form measures of the blocking pairs.
 
-Subsets of [n] = {1, ..., n} are bitmasks (element e is bit e-1), one
-machine word per set; ground sets larger than 64 are rejected since all
-desk-scale work fits well below that.
+Subsets of [n] = {1, ..., n} are bitmasks (element e is bit e-1) held in
+Python ints; ground sets larger than 64 are rejected since all desk-scale
+work fits well below that.
 
 Besides stars, the module builds the two j-indexed blocking pairs: the
 first family is a star plus every set meeting a (j+2)-prefix in exactly
@@ -90,14 +90,17 @@ class UniformFamily(_Frozen):
 
 
 def colex_masks(n: int, u: int) -> Iterator[int]:
-    """All u-subsets of [n] as bitmasks in colexicographic order."""
-    if u == 0:
-        yield 0
-        return
-    for b in range(u, n + 1):
-        bit = 1 << (b - 1)
-        for rest in colex_masks(b - 1, u - 1):
-            yield rest | bit
+    """All u-subsets of [n] as bitmasks in colex order, which is increasing
+    mask order.
+
+    Over the bits taken from high to low, the (n-u)-subsets come out in
+    decreasing mask order, so their complements come out increasing.
+    """
+    if u > n:
+        return iter(())
+    full = (1 << n) - 1
+    high_first = [1 << b for b in reversed(range(n))]
+    return (full ^ sum(rest) for rest in itertools.combinations(high_first, n - u))
 
 
 def colex_segment(m: int, u: int, n: int) -> UniformFamily:
@@ -110,12 +113,7 @@ def colex_segment(m: int, u: int, n: int) -> UniformFamily:
     if m > binom(n, u):
         raise CapacityError(f"requested {m} sets but C({n},{u}) = {binom(n, u)}")
     _check_members(m)
-    out = []
-    for mask in colex_masks(n, u):
-        if len(out) == m:
-            break
-        out.append(mask)
-    return UniformFamily(n, u, tuple(out))
+    return UniformFamily(n, u, tuple(itertools.islice(colex_masks(n, u), m)))
 
 
 def star_uniform(n: int, k: int, center: int) -> UniformFamily:
@@ -127,10 +125,8 @@ def star_uniform(n: int, k: int, center: int) -> UniformFamily:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     _check_members(binom(n - 1, k - 1))
     bit = 1 << (center - 1)
-    others = [e for e in range(1, n + 1) if e != center]
-    members = [
-        mask_of(combo, n) | bit for combo in itertools.combinations(others, k - 1)
-    ]
+    others = [1 << b for b in range(n) if b != center - 1]
+    members = (sum(combo, bit) for combo in itertools.combinations(others, k - 1))
     return UniformFamily(n, k, tuple(members))
 
 
@@ -143,12 +139,9 @@ def a_family_uniform(n: int, k: int, j: int) -> UniformFamily:
     _check_ground(n)
     _check_members(binom(n - 1, k - 1) + binom(n - j - 2, k - j - 1))
     block = (1 << (j + 2)) - 2  # [j+2] \ {1}
-    star = star_uniform(n, k, 1)
-    extra = [
-        block | mask_of(combo, n)
-        for combo in itertools.combinations(range(j + 3, n + 1), k - j - 1)
-    ]
-    return UniformFamily(n, k, star.members + tuple(extra))
+    outside = [1 << b for b in range(j + 2, n)]
+    extra = (sum(combo, block) for combo in itertools.combinations(outside, k - j - 1))
+    return UniformFamily(n, k, star_uniform(n, k, 1).members + tuple(extra))
 
 
 def b_family_uniform(n: int, l: int, j: int) -> UniformFamily:

@@ -9,6 +9,7 @@ from crossint.families import (
     UniformFamily,
     a_family_uniform,
     b_family_uniform,
+    colex_masks,
     colex_segment,
     from_text,
     is_cross_intersecting,
@@ -34,6 +35,15 @@ def test_colex_segment_matches_sort_oracle():
             expected = colex_sorted_subsets(n, u)
             got = colex_segment(binom(n, u), u, n).sets()
             assert got == expected
+
+
+def test_colex_masks_are_the_masks_of_each_size_in_increasing_order():
+    # colex order is increasing mask order; the edges u > n, u = 0 and n = 0
+    # included
+    for n in range(13):
+        for u in range(n + 3):
+            expected = [m for m in range(1 << n) if m.bit_count() == u]
+            assert list(colex_masks(n, u)) == expected, (n, u)
 
 
 def test_colex_segment_capacity():
