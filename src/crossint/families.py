@@ -111,7 +111,7 @@ def colex_segment(m: int, u: int, n: int) -> UniformFamily:
     if m < 0:
         raise ValueError(f"need m >= 0 sets, got m={m}")
     if m > binom(n, u):
-        raise CapacityError(f"requested {m} sets but C({n},{u}) = {binom(n, u)}")
+        raise ValueError(f"requested {m} sets but C({n},{u}) = {binom(n, u)}")
     _check_members(m)
     return UniformFamily(n, u, tuple(itertools.islice(colex_masks(n, u), m)))
 

@@ -992,7 +992,19 @@ def test_family_make_outputs_are_pinned(capsys, one_parser):
     # option from one below its range to one above; member order included
     count, digest = _digest(capsys, _family_make_argvs())
     assert count == 2022
-    assert digest == "686d079cca8142ccb6263ef1c0c068c58780376ea0ef0c0253f80d1b5ab3899e"
+    assert digest == "97f50224e45977f82763f2395c1f234b884636f77059dd0f1eeaf8960f64be78"
+
+
+def test_family_make_exits_3_only_past_the_family_cap(capsys, one_parser):
+    # a --size past C(n, k) asks for sets the layer does not hold: a usage
+    # error, and it wins over the cap
+    for argv in _family_make_argvs():
+        code, _, err = run(capsys, *argv)
+        assert code != 3, (argv, err)
+    past = ["colex", "--n", "20", "--k", "1", "--size", str(10**6 + 1)]
+    code, out, err = run(capsys, "family", "make", *past)
+    assert (code, out) == (2, "")
+    assert err == "error: requested 1000001 sets but C(20,1) = 20\n"
 
 
 CHECK_CONDITIONS = ("c1", "c2", "delta", "delta-prime", "claims")
