@@ -54,24 +54,26 @@ def _digits(m: int, u: int) -> list[tuple[int, int]]:
     return digits
 
 
-def _advance(digits: list[tuple[int, int]]) -> None:
-    """In-place increment: digits of m become the digits of m + 1.
+def _advance(digits: list[tuple[int, int]]) -> int:
+    """Increment the digits of m to those of m + 1 in place; return the new last level.
 
     Counting in the cascade system: below level 1 a new unit digit is
-    appended; at level 1 the digit is bumped, merging with the digit above
-    via C(a, j+1) + C(a, j) = C(a+1, j+1) whenever the bump collides.
+    appended; at level 1 the digit is bumped, merging with the digit above,
+    which sits one level up, via C(a, j+1) + C(a, j) = C(a+1, j+1) whenever
+    the two values collide.
     """
     a, lev = digits[-1]
     if lev > 1:
         digits.append((lev - 1, lev - 1))
-        return
+        return lev - 1
     digits.pop()
     a += 1
-    while digits and digits[-1] == (a, lev + 1):
+    while digits and digits[-1][0] == a:
         digits.pop()
         a += 1
         lev += 1
     digits.append((a, lev))
+    return lev
 
 
 class CascadeForm(_Frozen):

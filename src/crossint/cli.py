@@ -158,9 +158,10 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _claims(alpha: Fraction, beta: Fraction) -> dict:
-    """The window conditions of the paper's claims at one point."""
+    """The window conditions of the paper's claims at one point, on one log table."""
     from . import regions
-    i_first = regions.i0(alpha)
+    logs: dict = {}
+    i_first = regions._i0(alpha, logs)
     windows = {
         "A(2,1)": (2, 1, "A"),
         "A(3,1)": (3, 1, "A"),
@@ -170,7 +171,7 @@ def _claims(alpha: Fraction, beta: Fraction) -> dict:
     if alpha > 0.23:
         windows["B(3,1)"] = (3, 1, "B")
     detail = {
-        name: regions.product_bound_condition(alpha, beta, *window)
+        name: regions._product_bound(alpha, beta, *window, logs)
         for name, window in windows.items()
     }
     return {"holds": all(detail.values()), "detail": detail}

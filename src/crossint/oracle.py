@@ -4,9 +4,11 @@ Uniform side.  The cascade sweep maximizes m * (C(n,l) - minimum l-shadow
 of m (n-k)-sets) over all m: the shadow of the complements of the first
 family is forbidden to the second family, which makes the expression an
 upper bound for every cross-intersecting pair, and complementing a colex
-segment attains it, so the sweep maximum is exactly M(n,k,l).  The sweep
-alone decides every reported maximum and, through its witness list, every
-scan verdict on whether stars are the unique optimum.
+segment attains it, so the sweep maximum is exactly M(n,k,l).  Along a
+run of sizes with one shadow bound, each later size scores more (or all
+score 0, below size 1), so only the last size of each run is scored.  The
+sweep alone decides every reported maximum and, through its witness list,
+every scan verdict on whether stars are the unique optimum.
 The enumeration oracle instead scores every subset of the k-layer against
 the largest compatible second family; exponential, but free of any shadow
 reasoning, so it is an independent cross-check of the sweep, run only by
@@ -64,7 +66,7 @@ from .exactarith import _Record, binom, binom_exceeds, exact_text
 from .families import colex_masks, elements_of
 from .regions import _check_uniform_params, in_omega_prime
 
-#: Most first-family sizes the cascade sweep walks; about 50 s of sweeping.
+#: Most first-family sizes the cascade sweep walks; about 30-35 s of sweeping.
 DEFAULT_SWEEP_BUDGET = 10**8
 ENUMERATION_CAP = 24
 #: The enumeration oracle packs 2^_CHUNK_BITS 32-bit lanes into each int.
@@ -116,34 +118,36 @@ def _full_layers(n: int, k: int, l: int) -> tuple[int, int, int]:
 def _sweep(n: int, k: int, l: int) -> tuple[int, list[int]]:
     """Max of m * kk_cross_bound over m = 1..C(n,k), with every argmax m.
 
-    The shadow bound of m is S(m) = sum of C(a, lev - drop) over the cascade
-    digits (a, lev) of m, and _advance moves it by step[lev] =
-    C(lev-1, lev-1-drop), where lev is the level of m's last digit.  Above
-    level 1, _advance appends the digit (lev-1, lev-1), adding exactly that.
-    At level 1 it bumps (a, 1) to (a+1, 1), adding C(a, -drop) = C(0, -drop),
-    1 when drop = 0 and 0 otherwise.  Each merge of C(a, j+1) + C(a, j) into
-    C(a+1, j+1) leaves S as it was, by Pascal's rule C(a, t) + C(a, t-1) =
-    C(a+1, t), which holds for every integer t.  So one addition per size
-    keeps S current.
+    The shadow bound S(m) sums C(a, lev - drop) over the cascade digits
+    (a, lev) of m, and _advance moves it by step[lev] = C(lev-1, lev-1-drop),
+    lev the level of m's last digit: above level 1 it appends (lev-1, lev-1);
+    at level 1 it bumps (a, 1) to (a+1, 1), adding C(a, -drop) = step[1];
+    and each merge leaves S as it was, by Pascal's rule C(a, t) + C(a, t-1)
+    = C(a+1, t), true for every integer t.  Only m with step[lev] > 0 are
+    scored.  Where step[lev] = 0 (lev <= drop), m + 1 keeps the gap
+    C(n,l) - S >= 0 and scores more, or 0 when the gap is 0, below the
+    positive score of m = 1, so m is never an argmax.  m = 1 and C(n,k) are
+    lone digits at level n - k, always scored: step C(n-k-1, l-1) >= 1.
     """
     u, drop = n - k, n - k - l
-    layer = binom(n, l)
     # step[x + 1] = C(x, x - drop): 0 below x = drop, 1 at it, and above it
     # C(x, x - drop) = C(x-1, x-1-drop) * x / (x - drop), an exact division
     step, c = [0], 0
     for x in range(u):
         c = 1 if x == drop else c * x // (x - drop)
         step.append(c)
-    digits, shadow = [(u, u)], binom(u, l)  # m = 1 is the one digit C(u, u)
+    digits, lev, gap = [(u, u)], u, binom(n, l) - binom(u, l)  # m = 1 is C(u, u)
     best, wits = -1, []
     for m in range(1, binom(n, k) + 1):
-        val = m * (layer - shadow)
-        if val > best:
-            best, wits = val, [m]
-        elif val == best:
-            wits.append(m)
-        shadow += step[digits[-1][1]]
-        _advance(digits)
+        s = step[lev]
+        if s:
+            val = m * gap
+            if val > best:
+                best, wits = val, [m]
+            elif val == best:
+                wits.append(m)
+            gap -= s
+        lev = _advance(digits)
     return best, wits
 
 
@@ -363,9 +367,9 @@ def _up_sets(n: int, profile: tuple[int, ...], limit: int) -> list[int]:
     live[c] below the quota has no completion, so it is cut.  No mask is
     left out once `limit` families are found.
     """
-    down = _tables(n)[1]
+    top, down = _tables(n)[:2]
     need = list(profile)
-    live = [binom(n, c) for c in range(n + 1)]
+    live = [row[-1] for row in top]  # a full layer c + 1 allows all C(n, c)
     found: list[int] = []
 
     def walk(mask: int, fam: int, dead: int) -> None:

@@ -274,12 +274,17 @@ def i0(alpha: float) -> int:
     `_logs_below`, and the walk takes log(1/a) and log(1/(1-a)) once per
     precision.
     """
+    return _i0(alpha, {})
+
+
+def _i0(alpha: float, logs: dict) -> int:
+    """`i0`, its logarithms kept in `logs` (see `_logs_below`)."""
     a = Fraction(alpha)
     if not 0 < 2 * a < 1:
         raise ValueError(f"need 0 < alpha < 1/2, got {float(a)}")
     inv_a, inv_abar = 1 / a, 1 / (1 - a)
     what = f"window condition of i0 at alpha = {float(a)}"
-    last_fail, t, logs = None, 1 - a, {}
+    last_fail, t = None, 1 - a
     for j in itertools.count():
         lhs = [((1 + t) * j, inv_a), (1 + t, inv_abar), (1 + t, 1 + t)]
         if not _logs_below(lhs, [(j + 1, inv_a)], what, logs):
@@ -315,6 +320,11 @@ def product_bound_condition(
     (1 - (1-b)^(i-1) (1 + b + ... + b^(t-2))) lb (1-a)^t a^(i-t+e) <
     (1 + a^(i-2) ((1-a) + ... + (1-a)^(t-1))) la a b^(t-1) (1-b)^(i-t+e).
     """
+    return _product_bound(alpha, beta, i, epsilon, kind, {})
+
+
+def _product_bound(alpha, beta, i: int, epsilon, kind: str, logs: dict) -> bool:
+    """`product_bound_condition`, its logarithms kept in `logs` (see `_logs_below`)."""
     if kind not in _KIND_PREFIX_TERMS:
         raise ValueError(f"kind must be one of A, B, C; got {kind!r}")
     if i < 2:
@@ -334,7 +344,7 @@ def product_bound_condition(
     growth = 1 + a ** (i - 2) * sum(abar**s for s in range(1, t))
     rhs = growth * a * b ** (t - 1) * bbar ** (i - t + e)
     what = f"window bound {kind}({i}, {e}) at ({float(a)}, {float(b)})"
-    return _logs_below([(lhs, 1 / bbar)], [(rhs, 1 / a)], what)
+    return _logs_below([(lhs, 1 / bbar)], [(rhs, 1 / a)], what, logs)
 
 
 def tail_bound(t: int, alpha: float, beta: float) -> bool:

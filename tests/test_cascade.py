@@ -63,8 +63,9 @@ def test_increment_matches_fresh_decompose():
     for u in (1, 2, 3, 5, 8):
         digits = _digits(1, u)
         for m in range(2, 3000):
-            _advance(digits)
+            lev = _advance(digits)
             assert digits == _digits(m, u), (m, u)
+            assert lev == digits[-1][1], (m, u)
 
 
 def test_largest_a_brackets_m():

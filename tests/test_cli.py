@@ -170,6 +170,34 @@ def test_check_claims_bundle(capsys):
     assert any(name.startswith("C(i0=") for name in detail)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(3, 10)])
+def test_claims_take_each_logarithm_once_per_precision(monkeypatch, alpha):
+    # i0 and every window share one table: each distinct x is looked up by
+    # every test that has it, but its logarithm is taken once per precision
+    from crossint import cli, regions
+
+    beta = Fraction(11, 20)
+    tables, xs, taken = [], [], []
+    original = regions._logs_below
+
+    def recording(lhs, rhs, what, logs):
+        tables.append(logs)
+        xs.extend(x for _, x in lhs + rhs)
+        before = set(logs)
+        decided = original(lhs, rhs, what, logs)
+        taken.extend(set(logs) - before)
+        return decided
+
+    monkeypatch.setattr(regions, "_logs_below", recording)
+    claims = cli._claims(alpha, beta)
+    assert len(claims["detail"]) == (5 if alpha > 0.23 else 4)
+    assert len(tables) > len(claims["detail"])
+    assert all(table is tables[0] for table in tables)
+    assert sorted(taken) == sorted(tables[0]) == sorted({(30, x) for x in xs})
+    assert {1 / alpha, 1 / (1 - beta)} <= set(xs)
+    assert len(xs) > len(taken)
+
+
 @pytest.mark.parametrize("point", [[], ["--beta", "0.6"]], ids=["no-point", "beta-only"])
 def test_check_integer_condition_without_nkl_names_the_integers(capsys, point):
     code, out, err = run(capsys, "check", *point, "--conditions", "c1")

@@ -73,12 +73,25 @@ def test_cascade_matches_definition_brute_force():
         assert max_product_cascade(n, k, l).value == brute_max_product(n, k, l)
 
 
+# n = 15 to 17 with C(n,k) <= 2 * 10**4: the sweep leaves long runs of
+# sizes unscored in the first eight (n - k - l >= 2) and scores every size
+# in the last four (k + l = n); seven of the thirteen have tied sizes
+SWEEP_PAST_14 = [
+    (15, 4, 5), (16, 5, 4), (17, 4, 9), (16, 11, 2), (15, 2, 11), (15, 11, 2),
+    (15, 8, 1), (17, 12, 1), (17, 15, 1), (17, 5, 12), (16, 6, 10), (15, 7, 8),
+    (15, 4, 11),
+]
+
+
 def test_sweep_chunk_matches_reference_sweep():
     # the reference decomposes every size afresh; witnesses must match too
-    for n in range(2, 15):
-        for k in range(1, n):
-            for l in range(1, n - k + 1):
-                assert _sweep(n, k, l) == reference_sweep(n, k, l), (n, k, l)
+    cases = [
+        (n, k, l) for n in range(2, 15) for k in range(1, n) for l in range(1, n - k + 1)
+    ]
+    for n, k, l in cases + SWEEP_PAST_14:
+        assert _sweep(n, k, l) == reference_sweep(n, k, l), (n, k, l)
+    assert all(binom(n, k) <= 2 * 10**4 for n, k, _ in SWEEP_PAST_14)
+    assert sum(len(_sweep(*case)[1]) > 1 for case in SWEEP_PAST_14) == 7
 
 
 def test_sweep_table_stays_within_reachable_digits(monkeypatch):
